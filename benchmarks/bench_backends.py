@@ -2,9 +2,8 @@
 """Benchmark the compiled integration kernel against the pure-Python fallback.
 
 The shooting integrator is the only hot loop in the package: one defect
-evaluation integrates the radial equation a few thousand adaptive steps in
-each direction, and an eigensolve needs on the order of a hundred defect
-evaluations.  Everything else (root scans, residual algebra, quadrature) is
+evaluation integrates the radial equation several hundred adaptive steps in
+each direction, and an eigensolve needs 10-15 defect evaluations.  Everything else (root scans, residual algebra, quadrature) is
 negligible by comparison.
 
 Usage: python benchmarks/bench_backends.py [--repeat N]

@@ -12,16 +12,23 @@ analytic spectrum: this module has to be able to falsify them.
 
 Eigenvalues are located by two-sided shooting: integrate outward from near the
 origin with the asymptotic seed of the regular solution, inward from far
-outside the classically allowed region with the decaying seed, and drive the
-normalized Wronskian of the two solutions at an interior matching radius to
-zero.  Both sweep directions are dominance-stable, so seed truncation errors
-decay as the integration proceeds.
+outside the classically allowed region with the decaying seed, and match the
+two solutions at an interior radius.  Both sweep directions are
+dominance-stable, so seed truncation errors decay as the integration proceeds.
+
+The match is indexed by the Pruefer angle theta = atan2(psi, psi'), which
+grows by pi across every node.  On a fixed geometry the mismatch
+Delta(E) = (theta_out - theta_in)/pi at the matching radius is continuous in
+E and equals n exactly at the eigenvalue with n nodes (Pryce, Numerical
+Solution of Sturm-Liouville Problems, 1993), so one sign test of Delta - n
+at the ends of a bracket tells whether it holds that level, and a root
+finder on Delta - n converges to it without a scan.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,19 +53,20 @@ _TINY = 1e-300
 class GridConfig:
     """Discretization rules for the shooting integrations.
 
-    steps sets the maximum step h_max = (r_max - r_min)/steps; the adaptive
-    controller refines below it under ``integrator_tolerance`` local error.
-    The origin radius is chosen so the decaying origin factor contributes
-    ``origin_exponent`` e-folds; the outer radius covers ``tail_lengths``
-    decay lengths 1/kappa and ``peak_factor`` times the turning-region scale.
+    steps caps the step at h_max = (r_max - r_min)/steps.  The default cap is
+    loose, so the adaptive controller sets the step count from the
+    ``integrator_tolerance`` local error; a larger ``steps`` forces finer
+    steps than the tolerance needs.  The origin radius is chosen so the
+    decaying origin factor contributes ``origin_exponent`` e-folds; the outer
+    radius covers ``tail_lengths`` decay lengths 1/kappa and ``peak_factor``
+    times the turning-region scale.
     """
 
-    steps: int = 4000
+    steps: int = 1000
     integrator_tolerance: float = 1e-10
     origin_exponent: float = 30.0
     tail_lengths: float = 50.0
     peak_factor: float = 10.0
-    energy_scan_points: int = 61
     defect_tolerance: float = 1e-5
 
     def __post_init__(self):
@@ -66,8 +74,6 @@ class GridConfig:
             raise ValueError("steps must be >= 1000")
         if self.integrator_tolerance <= 0 or self.defect_tolerance <= 0:
             raise ValueError("tolerances must be positive")
-        if self.energy_scan_points < 8:
-            raise ValueError("energy_scan_points must be >= 8")
 
 
 @dataclass(frozen=True)
@@ -203,7 +209,14 @@ def _domain(params: PotentialParams, energy: float, grid: GridConfig) -> _Domain
 
 
 def _defect_on_domain(params, energy, grid: GridConfig, dom: _Domain):
-    """Normalized Wronskian defect and node count on a fixed geometry."""
+    """Wronskian defect, node count and Pruefer mismatch on a fixed geometry.
+
+    The mismatch is Delta = (theta_out - theta_in)/pi with
+    theta_out = nodes_out*pi + (atan2(psi_out, psi_out') mod pi) and
+    theta_in = -nodes_in*pi + (atan2(psi_in, psi_in') mod pi): the node
+    counts unwrap the angles, so Delta is continuous in E, and it equals the
+    node count of the composite solution wherever the two solutions match.
+    """
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
     if kappa2 <= 0.0:
         raise DomainError(f"shooting needs E^2 < m^2, got E={energy}")
@@ -235,7 +248,9 @@ def _defect_on_domain(params, energy, grid: GridConfig, dom: _Domain):
     cross_a = dy_out * y_in
     cross_b = y_out * dy_in
     defect = (cross_a - cross_b) / (abs(cross_a) + abs(cross_b) + _TINY)
-    return defect, nodes_out + nodes_in
+    theta_out = nodes_out * math.pi + math.atan2(y_out, dy_out) % math.pi
+    theta_in = -nodes_in * math.pi + math.atan2(y_in, dy_in) % math.pi
+    return defect, nodes_out + nodes_in, (theta_out - theta_in) / math.pi
 
 
 def kg_match_defect(
@@ -249,18 +264,37 @@ def kg_match_defect(
     """
     grid = grid or GridConfig()
     dom = _domain(params, energy, grid)
-    return _defect_on_domain(params, energy, grid, dom)
+    defect, nodes, _ = _defect_on_domain(params, energy, grid, dom)
+    return defect, nodes
 
 
-def _reference_domain(params, lo, hi, grid) -> _Domain:
-    """Geometry for a bracket: fixed radii keep the defect continuous in E."""
-    last_error: Exception | None = None
-    for e_ref in (0.5 * (lo + hi), lo, hi):
-        try:
-            return _domain(params, e_ref, grid)
-        except FallToCenterError as exc:
-            last_error = exc
-    raise last_error  # supercritical across the whole bracket
+def _subcritical_bracket(params: PotentialParams, lo: float, hi: float):
+    """Clip [lo, hi] to the energies at which the origin is subcritical.
+
+    Of U's origin coefficients only q2 depends on E, and linearly, so the
+    supercritical energies form a half-line: cut the bracket where q2 crosses
+    -1/4.  Raises FallToCenterError when no energy of the bracket is left.
+    """
+    _, _, q2_lo, q3, q4 = u_series(params, lo)
+    q2_hi = u_series(params, hi)[2]
+    if q4 == 0.0 and q3 == 0.0 and (q2_lo > -0.25) != (q2_hi > -0.25):
+        e_critical = lo + (-0.25 - q2_lo) * (hi - lo) / (q2_hi - q2_lo)
+        margin = 1e-9 * params.m
+        if q2_lo > -0.25:
+            hi = e_critical - margin
+        else:
+            lo = e_critical + margin
+        if not lo < hi:
+            raise FallToCenterError(
+                f"inverse-square coefficient <= -1/4 at the origin for all of "
+                f"the bracket but a sliver at E={e_critical}"
+            )
+    else:
+        _origin_guard(max(q2_lo, q2_hi), q3, q4)
+    return lo, hi
+
+
+_MAX_REFINEMENTS = 200
 
 
 def kg_eigensolve(
@@ -271,9 +305,13 @@ def kg_eigensolve(
 ) -> ShootingResult | None:
     """Search one energy bracket for the eigenvalue with exactly n nodes.
 
-    Returns None when no matching eigenvalue lies in the bracket (this is a
-    result, not a failure); raises ConvergenceError when an integration or
-    the refinement itself breaks down.
+    The Pruefer mismatch minus n is evaluated at both ends of the bracket
+    (clipped to subcritical energies); without a sign change there is no
+    n-node eigenvalue inside, and the result is None after exactly those two
+    evaluations (this is a result, not a failure).  Otherwise Illinois regula
+    falsi refines the root to a 1e-8*m bracket.  Raises ConvergenceError when
+    an integration or the refinement breaks down, or when the refined
+    solution does not carry n nodes.
     """
     grid = grid or GridConfig()
     if n < 0 or int(n) != n:
@@ -284,60 +322,74 @@ def kg_eigensolve(
     hi = min(max(bracket), m - 1e-9 * m)
     if not lo < hi:
         raise DomainError(f"bracket {bracket} does not intersect (-m, m)")
+    lo, hi = _subcritical_bracket(params, lo, hi)
 
-    dom = _reference_domain(params, lo, hi, grid)
+    # Fixed radii keep the mismatch continuous in E across the bracket.
+    dom = _domain(params, 0.5 * (lo + hi), grid)
     evaluations = 0
 
-    def defect_at(e: float):
+    def excess(e: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        return _defect_on_domain(params, e, grid, dom)
+        return _defect_on_domain(params, e, grid, dom)[2] - n
 
-    energies = np.linspace(lo, hi, grid.energy_scan_points)
-    samples: list[tuple[float, float, int] | None] = []
-    for e in energies:
-        try:
-            d, nodes = defect_at(float(e))
-            samples.append((float(e), d, nodes))
-        except FallToCenterError:
-            samples.append(None)
-
+    # Delta rises with E where E > V_V and falls where E < V_V (the
+    # antiparticle side), so only the sign change is used, not its direction.
+    a, b = lo, hi
+    g_a, g_b = excess(a), excess(b)
+    if g_a * g_b > 0.0:
+        return None
+    if g_a == 0.0:
+        b = a
+    elif g_b == 0.0:
+        a = b
+    w_a, w_b = g_a, g_b  # secant weights; Illinois halves a stale end's weight
     tol_e = 1e-8 * m
-    for left, right in zip(samples, samples[1:]):
-        if left is None or right is None:
-            continue
-        e_lo, d_lo, nodes_lo = left
-        e_hi, d_hi, nodes_hi = right
-        if d_lo == 0.0:
-            d_lo = -d_hi  # grid point exactly on the eigenvalue
-        if (d_lo < 0.0) == (d_hi < 0.0):
-            continue
-        if not (min(nodes_lo, nodes_hi) <= n <= max(nodes_lo, nodes_hi)):
-            continue
-        a, b, d_a = e_lo, e_hi, d_lo
-        while b - a > tol_e:
-            mid = 0.5 * (a + b)
-            d_mid, _ = defect_at(mid)
-            if d_mid == 0.0:
-                a = b = mid
-                break
-            if (d_mid < 0.0) == (d_a < 0.0):
-                a, d_a = mid, d_mid
-            else:
-                b = mid
-        e_star = 0.5 * (a + b)
-        defect_star, nodes_star = defect_at(e_star)
-        if nodes_star != n:
-            continue
-        return ShootingResult(
-            energy=e_star,
-            node_count=nodes_star,
-            match_defect=defect_star,
-            bracket=(a, b),
-            grid=grid,
-            defect_evaluations=evaluations,
+    kept = ""  # the end ("a" or "b") that the previous step kept
+    for _ in range(_MAX_REFINEMENTS):
+        if b - a <= tol_e:
+            break
+        e = b - w_b * (b - a) / (w_b - w_a)
+        # At least half a tolerance from either end, so the bracket also
+        # collapses from the side the secant approaches the root from.
+        e = min(max(e, a + 0.5 * tol_e), b - 0.5 * tol_e)
+        g = excess(e)
+        if g == 0.0:
+            a = b = e
+            break
+        if (g > 0.0) == (g_b > 0.0):
+            b, g_b, w_b = e, g, g
+            if kept == "a":
+                w_a *= 0.5
+            kept = "a"
+        else:
+            a, g_a, w_a = e, g, g
+            if kept == "b":
+                w_b *= 0.5
+            kept = "b"
+    else:
+        raise ConvergenceError(
+            f"Pruefer refinement for n={n} did not reach {tol_e} in "
+            f"{_MAX_REFINEMENTS} steps; bracket ({a}, {b})"
         )
-    return None
+
+    # Across the final bracket Delta is linear to far below its width.
+    e_star = a if a == b else a - g_a * (b - a) / (g_b - g_a)
+    evaluations += 1
+    defect_star, nodes_star, _ = _defect_on_domain(params, e_star, grid, dom)
+    if nodes_star != n:
+        raise ConvergenceError(
+            f"Pruefer mismatch matched n={n} at E={e_star}, "
+            f"but the solution there has {nodes_star} nodes"
+        )
+    return ShootingResult(
+        energy=e_star,
+        node_count=nodes_star,
+        match_defect=defect_star,
+        bracket=(a, b),
+        grid=grid,
+        defect_evaluations=evaluations,
+    )
 
 
 def deviation_report(
@@ -350,9 +402,10 @@ def deviation_report(
     """Compare the implicit-equation level against the shooting eigenvalue.
 
     The shooting search is seeded with a bracket around the closed-form value
-    and widened geometrically until the eigenvalue is captured.  Failures are
-    labeled by their source ("analytic:" for the implicit solve, "oracle:" for
-    the shooting solve).
+    and widened geometrically until the eigenvalue is captured; the defect
+    evaluations of every bracket tried are counted in the result.  Failures
+    are labeled by their source ("analytic:" for the implicit solve,
+    "oracle:" for the shooting solve).
     """
     grid = grid or GridConfig()
     try:
@@ -368,12 +421,14 @@ def deviation_report(
     m = params.m
     width = max(0.4 * (m - abs(e_analytic)), 1e-3 * m)
     result = None
+    empty_brackets = 0
     try:
         for _attempt in range(6):
             bracket = (e_analytic - width, e_analytic + width)
             result = kg_eigensolve(params, n, bracket, grid)
             if result is not None:
                 break
+            empty_brackets += 1
             width *= 2.0
             if width > 2.0 * m:
                 break
@@ -383,6 +438,10 @@ def deviation_report(
         raise NoBoundStateError(
             f"oracle: no {n}-node eigenvalue found near E={e_analytic}"
         )
+    # kg_eigensolve spends exactly two evaluations on a bracket it rejects.
+    result = replace(
+        result, defect_evaluations=result.defect_evaluations + 2 * empty_brackets
+    )
     return DeviationReport(
         n=n,
         branch=branch,

@@ -10,6 +10,7 @@ from kgkratzer import (
     deviation_report,
     kg_eigensolve,
     kg_match_defect,
+    oracle,
 )
 
 EQUAL = PotentialParams(m=1.0, b1=0.5, b2=0.5)
@@ -129,3 +130,121 @@ def test_grid_config_validation():
 def test_defect_requires_subluminal_energy():
     with pytest.raises(DomainError):
         kg_match_defect(EQUAL, 1.5)
+
+
+# Exact particle level on the Coulomb plane a1 = a2 = 0: the equation is
+# hydrogen-like with l(l+1) = b1^2 - b2^2, so m^2 - E^2 = (m b1 + E b2)^2/N^2,
+# N = n + 1/2 + sqrt(1/4 + b1^2 - b2^2).
+def coulomb_plane_exact(b1: float, b2: float, n: int, m: float = 1.0) -> float:
+    big_n = n + 0.5 + math.sqrt(0.25 + b1 * b1 - b2 * b2)
+    root = big_n * math.sqrt(big_n * big_n + b2 * b2 - b1 * b1)
+    energies = [m * (-b1 * b2 + sign * root) / (big_n * big_n + b2 * b2) for sign in (1, -1)]
+    return max(e for e in energies if abs(e) < m and m * b1 + e * b2 > 0.0)
+
+
+@pytest.mark.parametrize("b1, b2", [(0.8, 0.0), (0.8, -0.2), (0.4, 0.2)])
+def test_oracle_matches_exact_levels_off_the_manifolds(b1, b2):
+    # At (0.8, -0.2), E - V_V changes sign with r, so Delta is not monotone
+    # through every ingredient of dU/dE.
+    params = PotentialParams(m=1.0, b1=b1, b2=b2)
+    for n in range(3):
+        report = deviation_report(params, n)
+        assert report.oracle_energy == pytest.approx(coulomb_plane_exact(b1, b2, n), abs=1e-7)
+        assert report.shooting.node_count == n
+
+
+def test_pruefer_mismatch_is_the_node_index():
+    # Delta - n changes sign across the n-node level, rising with E where
+    # E > V_V (equal manifold) and falling where E < V_V (opposite manifold).
+    grid = GridConfig()
+    for params, sign in ((EQUAL, 1.0), (OPPOSITE, -1.0)):
+        for n in range(3):
+            nu2 = (n + 1.0) ** 2
+            level = sign * (nu2 - 0.25) / (nu2 + 0.25)
+            dom = oracle._domain(params, level, grid)
+            _, _, below = oracle._defect_on_domain(params, level - 1e-3, grid, dom)
+            _, nodes, at = oracle._defect_on_domain(params, level, grid, dom)
+            _, _, above = oracle._defect_on_domain(params, level + 1e-3, grid, dom)
+            assert nodes == n
+            assert at == pytest.approx(n, abs=1e-6)
+            assert sign * (above - below) > 0.0
+            assert (below - n) * (above - n) < 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_eigensolve_opposite_manifold_excited(n):
+    nu2 = (n + 1.0) ** 2
+    level = -(nu2 - 0.25) / (nu2 + 0.25)
+    result = kg_eigensolve(OPPOSITE, n, (level - 0.02, level + 0.02))
+    assert result is not None
+    assert result.energy == pytest.approx(level, abs=1e-7)
+    assert result.node_count == n
+
+
+def test_eigensolve_bracket_with_two_levels_returns_the_n_node_one():
+    # (0.5, 0.93) holds the n = 0 level 0.6 and the n = 1 level 15/17.
+    for n, level in ((0, 0.6), (1, 15.0 / 17.0)):
+        result = kg_eigensolve(EQUAL, n, (0.5, 0.93))
+        assert result is not None
+        assert result.energy == pytest.approx(level, abs=1e-7)
+        assert result.node_count == n
+
+
+def test_eigensolve_clips_a_supercritical_bracket_end():
+    # V_V = V_S with a = -1/2: q2 = -(m + E) exceeds -1/4 only for E < -3m/4,
+    # so the upper end of the bracket has no self-adjoint origin.
+    params = PotentialParams(m=1.0, a1=-0.5, b1=2.17, a2=-0.5, b2=2.17)
+    result = kg_eigensolve(params, 0, (-0.95, -0.5))
+    assert result is not None
+    big_n = 0.5 + math.sqrt(0.25 - (1.0 + result.energy))
+    # The equal-manifold quantization m - E = (m + E) b^2 / N^2.
+    assert (1.0 - result.energy) * big_n ** 2 == pytest.approx(
+        (1.0 + result.energy) * 2.17 ** 2, abs=1e-7)
+    assert result.node_count == 0
+    with pytest.raises(FallToCenterError):
+        kg_eigensolve(params, 0, (-0.7, -0.5))
+
+
+def _count_oracle_work(monkeypatch):
+    counts = {"defects": 0, "sweeps": 0, "steps": 0}
+    defect_on_domain, sweep = oracle._defect_on_domain, oracle.sweep
+
+    def counted_defect(*args):
+        counts["defects"] += 1
+        return defect_on_domain(*args)
+
+    def counted_sweep(*args):
+        result = sweep(*args)
+        counts["sweeps"] += 1
+        counts["steps"] += result[4]
+        return result
+
+    monkeypatch.setattr(oracle, "_defect_on_domain", counted_defect)
+    monkeypatch.setattr(oracle, "sweep", counted_sweep)
+    return counts
+
+
+def test_deviation_report_work_stays_small(monkeypatch):
+    counts = _count_oracle_work(monkeypatch)
+    for n in range(3):
+        before = counts["defects"]
+        report = deviation_report(EQUAL_A, n)
+        assert report.shooting.defect_evaluations == counts["defects"] - before
+        assert report.shooting.defect_evaluations <= 20
+    assert counts["steps"] / counts["sweeps"] <= 1200
+
+
+def test_deviation_report_counts_every_bracket(monkeypatch):
+    # The paper's level 0.6 misses the exact 0.8324 by more than the first
+    # bracket's half-width 0.16, so a second, doubled bracket is searched.
+    counts = _count_oracle_work(monkeypatch)
+    report = deviation_report(PotentialParams(m=1.0, b1=0.8), 0)
+    assert report.analytic_energy + 0.4 * (1.0 - report.analytic_energy) < report.oracle_energy
+    assert report.shooting.defect_evaluations == counts["defects"]
+
+
+@pytest.mark.parametrize("params", [EQUAL_A, PotentialParams(m=1.0, b1=0.8, b2=-0.2)])
+def test_default_grid_agrees_with_a_tighter_tolerance(params):
+    default = deviation_report(params, 0)
+    tight = deviation_report(params, 0, GridConfig(integrator_tolerance=1e-12))
+    assert abs(default.oracle_energy - tight.oracle_energy) < 1e-7
