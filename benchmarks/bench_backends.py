@@ -3,7 +3,10 @@
 
 The shooting integrator is the only hot loop in the package: one defect
 evaluation integrates the radial equation several hundred adaptive steps in
-each direction, and an eigensolve needs 10-15 defect evaluations.  Everything else (root scans, residual algebra, quadrature) is
+each direction.  An eigensolve needs 5 defect evaluations when its bracket is
+centred on the level, as ``deviation_report`` centres it on an exact analytic
+level, and more when the midpoint misses: the off-centre brackets below take
+9-11.  Everything else (root scans, residual algebra, quadrature) is
 negligible by comparison.
 
 Usage: python benchmarks/bench_backends.py [--repeat N]

@@ -66,33 +66,36 @@ def sweep(
         if steps >= max_steps:
             return y, dy, nodes, STATUS_STEP_BUDGET, steps
         remaining = r1 - r
-        if abs(h) > abs(remaining):
+        # h and remaining both carry the sign of direction, so multiplying by
+        # direction takes their magnitudes exactly.
+        if h * direction > remaining * direction:
             h = remaining
         if r + h == r:
             return y, dy, nodes, STATUS_STEP_UNDERFLOW, steps
 
-        u1 = u_eval(kappa2, q1, q2, q3, q4, r)
+        # u_eval inlined at each stage, with its operations in the same order.
+        u1 = kappa2 + (q1 + (q2 + (q3 + q4 / r) / r) / r) / r
         k1y = dy
         k1v = u1 * y
 
         r2 = r + 0.2 * h
         y2 = y + h * 0.2 * k1y
         v2 = dy + h * 0.2 * k1v
-        u2 = u_eval(kappa2, q1, q2, q3, q4, r2)
+        u2 = kappa2 + (q1 + (q2 + (q3 + q4 / r2) / r2) / r2) / r2
         k2y = v2
         k2v = u2 * y2
 
         r3 = r + 0.3 * h
         y3 = y + h * (0.075 * k1y + 0.225 * k2y)
         v3 = dy + h * (0.075 * k1v + 0.225 * k2v)
-        u3 = u_eval(kappa2, q1, q2, q3, q4, r3)
+        u3 = kappa2 + (q1 + (q2 + (q3 + q4 / r3) / r3) / r3) / r3
         k3y = v3
         k3v = u3 * y3
 
         r4 = r + 0.6 * h
         y4 = y + h * (0.3 * k1y - 0.9 * k2y + 1.2 * k3y)
         v4 = dy + h * (0.3 * k1v - 0.9 * k2v + 1.2 * k3v)
-        u4 = u_eval(kappa2, q1, q2, q3, q4, r4)
+        u4 = kappa2 + (q1 + (q2 + (q3 + q4 / r4) / r4) / r4) / r4
         k4y = v4
         k4v = u4 * y4
 
@@ -101,7 +104,7 @@ def sweep(
                       - 2.5925925925925926 * k3y + 1.2962962962962963 * k4y)
         v5 = dy + h * (-0.2037037037037037 * k1v + 2.5 * k2v
                        - 2.5925925925925926 * k3v + 1.2962962962962963 * k4v)
-        u5 = u_eval(kappa2, q1, q2, q3, q4, r5)
+        u5 = kappa2 + (q1 + (q2 + (q3 + q4 / r5) / r5) / r5) / r5
         k5y = v5
         k5v = u5 * y5
 
@@ -112,7 +115,7 @@ def sweep(
         v6 = dy + h * (0.029495804398148147 * k1v + 0.341796875 * k2v
                        + 0.041594328703703706 * k3v + 0.40034541377314814 * k4v
                        + 0.061767578125 * k5v)
-        u6 = u_eval(kappa2, q1, q2, q3, q4, r6)
+        u6 = kappa2 + (q1 + (q2 + (q3 + q4 / r6) / r6) / r6) / r6
         k6y = v6
         k6v = u6 * y6
 
@@ -127,14 +130,23 @@ def sweep(
                           + 0.24459273726851852 * k4v + 0.019321986607142856 * k5v
                           + 0.25 * k6v)
 
+        # Magnitudes by conditional expressions: cheaper than builtin calls.
+        # A -0.0 where abs gives 0.0 compares equal and vanishes in the
+        # 1e-300 floor, so every result keeps its bits.
+        abs_h = h * direction
+        abs_y = y if y >= 0.0 else -y
+        abs_dy = dy if dy >= 0.0 else -dy
+        abs_y_new = y_new if y_new >= 0.0 else -y_new
+        abs_v_new = v_new if v_new >= 0.0 else -v_new
+        hk1v = h * k1v
         err_y = y_new - y_low
         err_v = v_new - v_low
-        ay = abs(y) if abs(y) > abs(y_new) else abs(y_new)
-        av = abs(dy) if abs(dy) > abs(v_new) else abs(v_new)
-        scale_y = rtol * (ay + abs(h) * av) + 1e-300
-        scale_v = rtol * (av + abs(h * k1v)) + 1e-300
-        err = abs(err_y) / scale_y
-        err_2 = abs(err_v) / scale_v
+        ay = abs_y if abs_y > abs_y_new else abs_y_new
+        av = abs_dy if abs_dy > abs_v_new else abs_v_new
+        scale_y = rtol * (ay + abs_h * av) + 1e-300
+        scale_v = rtol * (av + (hk1v if hk1v >= 0.0 else -hk1v)) + 1e-300
+        err = (err_y if err_y >= 0.0 else -err_y) / scale_y
+        err_2 = (err_v if err_v >= 0.0 else -err_v) / scale_v
         if err_2 > err:
             err = err_2
 
@@ -147,7 +159,7 @@ def sweep(
                     nodes += 1
                 last_sign = new_sign
             y, dy = y_new, v_new
-            big = abs(y) if abs(y) > abs(dy) else abs(dy)
+            big = abs_y_new if abs_y_new > abs_v_new else abs_v_new
             if big > _RENORM_LIMIT:
                 y /= big
                 dy /= big
@@ -155,14 +167,15 @@ def sweep(
             if factor > _MAX_GROW:
                 factor = _MAX_GROW
             h *= factor
-            if abs(h) > h_max:
+            if h * direction > h_max:
                 h = direction * h_max
         else:
             factor = _SAFETY * err ** -0.2
             if factor < _MIN_SHRINK:
                 factor = _MIN_SHRINK
             h *= factor
-            if abs(h) < 1e-15 * max(abs(r), 1e-30):
+            abs_r = r if r >= 0.0 else -r
+            if h * direction < 1e-15 * (abs_r if abs_r > 1e-30 else 1e-30):
                 return y, dy, nodes, STATUS_STEP_UNDERFLOW, steps
 
     return y, dy, nodes, STATUS_OK, steps

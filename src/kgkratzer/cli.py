@@ -27,6 +27,7 @@ from . import __version__
 from .errors import (
     ConvergenceError,
     DomainError,
+    FallToCenterError,
     NoBoundStateError,
 )
 from .model import PotentialParams, admissibility
@@ -309,9 +310,16 @@ def _cmd_energy(ns, config, diag) -> int:
         pass
 
     if compare == "oracle" and method != "oracle":
-        report = deviation_report(params, n, branch=branch)
-        record["E_oracle"] = report.oracle_energy
-        record["deviation"] = abs(energy - report.oracle_energy)
+        try:
+            report = deviation_report(params, n, branch=branch)
+        except FallToCenterError as exc:
+            # The oracle cannot integrate a supercritical origin; the
+            # analytic result stands on its own, with no comparison.
+            diag.warn(str(exc))
+            record["E_oracle"] = record["deviation"] = None
+        else:
+            record["E_oracle"] = report.oracle_energy
+            record["deviation"] = abs(energy - report.oracle_energy)
 
     document = {
         "request": _base_request("energy", params, fmt, output, n=n,
@@ -324,8 +332,8 @@ def _cmd_energy(ns, config, diag) -> int:
     row = [record.get("n"), record.get("branch"), _fmt(record["E"]),
            record.get("method"),
            _fmt(record["residual"]) if "residual" in record else "",
-           _fmt(record["E_oracle"]) if "E_oracle" in record else "",
-           _fmt(record["deviation"]) if "deviation" in record else ""]
+           _fmt(record["E_oracle"]) if record.get("E_oracle") is not None else "",
+           _fmt(record["deviation"]) if record.get("deviation") is not None else ""]
     _emit(ns, document, [row], header)
     return 0
 

@@ -185,16 +185,17 @@ def _domain(params: PotentialParams, energy: float, grid: GridConfig) -> _Domain
 
     # Matching radius: geometric middle of the classically allowed region,
     # where both shooting solutions are large and the Wronskian is best
-    # conditioned; fall back to the (clamped) minimum of U if U >= 0.
-    radii = np.geomspace(max(r_min, 1e-12), r_max, 600)
-    u_vals = np.array([u_eval(kappa2, q1, q2, q3, q4, r) for r in radii])
-    negative = np.nonzero(u_vals < 0.0)[0]
-    if negative.size:
+    # conditioned; fall back to the (clamped) minimum of U if U >= 0.  Plain
+    # floats, not numpy scalars, go on into the sweeps and the results.
+    radii = np.geomspace(max(r_min, 1e-12), r_max, 600).tolist()
+    u_vals = [u_eval(kappa2, q1, q2, q3, q4, r) for r in radii]
+    negative = [i for i, u in enumerate(u_vals) if u < 0.0]
+    if negative:
         inner = max(radii[negative[0]], 2.0 * r_min)
         outer = radii[negative[-1]]
         r_match = math.sqrt(inner * outer)
     else:
-        r_match = radii[int(np.argmin(u_vals))]
+        r_match = radii[min(range(len(radii)), key=u_vals.__getitem__)]
     r_match = min(max(r_match, 4.0 * r_min), 0.25 * r_max)
 
     h_max = (r_max - r_min) / grid.steps
@@ -297,6 +298,34 @@ def _subcritical_bracket(params: PotentialParams, lo: float, hi: float):
 _MAX_REFINEMENTS = 200
 
 
+def _next_trial(xs, gs, a: float, b: float, tol: float) -> float:
+    """Next trial energy inside the bracket [a, b] of a sign change of g.
+
+    xs, gs hold the latest three trials, oldest first; the newest, xs[-1],
+    is always an end of the bracket.  Inverse quadratic interpolation through
+    them (the secant through the latest two when two g agree) falls back to
+    bisection when it leaves the bracket or does not halve the step before
+    last (Brent's bound on slow progress), and stays tol/4 inside the ends.
+    A step shorter than tol/2 is lengthened to tol/2 towards the other end,
+    so the bracket also collapses from the side the steps approach it from.
+    """
+    (x0, x1, x2), (g0, g1, g2) = xs, gs
+    if g0 != g1 and g0 != g2 and g1 != g2:
+        e = (x0 * g1 * g2 / ((g0 - g1) * (g0 - g2))
+             + x1 * g0 * g2 / ((g1 - g0) * (g1 - g2))
+             + x2 * g0 * g1 / ((g2 - g0) * (g2 - g1)))
+    elif g1 != g2:
+        e = x2 - g2 * (x2 - x1) / (g2 - g1)
+    else:
+        e = a  # no interpolant: bisect
+    if not (a < e < b and abs(e - x2) < 0.5 * abs(x1 - x0)):
+        e = 0.5 * (a + b)
+    e = min(max(e, a + 0.25 * tol), b - 0.25 * tol)
+    if abs(e - x2) < 0.5 * tol:
+        e = x2 + 0.5 * tol if x2 == a else x2 - 0.5 * tol
+    return e
+
+
 def kg_eigensolve(
     params: PotentialParams,
     n: int,
@@ -308,10 +337,12 @@ def kg_eigensolve(
     The Pruefer mismatch minus n is evaluated at both ends of the bracket
     (clipped to subcritical energies); without a sign change there is no
     n-node eigenvalue inside, and the result is None after exactly those two
-    evaluations (this is a result, not a failure).  Otherwise Illinois regula
-    falsi refines the root to a 1e-8*m bracket.  Raises ConvergenceError when
-    an integration or the refinement breaks down, or when the refined
-    solution does not carry n nodes.
+    evaluations (this is a result, not a failure).  Otherwise the search
+    tries the bracket midpoint, then interpolates through the latest trials
+    (Brent, Algorithms for Minimization without Derivatives, 1973), keeping
+    the sign change bracketed until it spans at most 1e-8*m.  Raises
+    ConvergenceError when an integration or the refinement breaks down, or
+    when the refined solution does not carry n nodes.
     """
     grid = grid or GridConfig()
     if n < 0 or int(n) != n:
@@ -343,30 +374,24 @@ def kg_eigensolve(
         b = a
     elif g_b == 0.0:
         a = b
-    w_a, w_b = g_a, g_b  # secant weights; Illinois halves a stale end's weight
     tol_e = 1e-8 * m
-    kept = ""  # the end ("a" or "b") that the previous step kept
+    # Callers centre the bracket on their estimate of the level, so the
+    # midpoint is the first interior trial.
+    xs, gs = [a, b], [g_a, g_b]
+    e = 0.5 * (a + b)
     for _ in range(_MAX_REFINEMENTS):
         if b - a <= tol_e:
             break
-        e = b - w_b * (b - a) / (w_b - w_a)
-        # At least half a tolerance from either end, so the bracket also
-        # collapses from the side the secant approaches the root from.
-        e = min(max(e, a + 0.5 * tol_e), b - 0.5 * tol_e)
         g = excess(e)
         if g == 0.0:
             a = b = e
             break
         if (g > 0.0) == (g_b > 0.0):
-            b, g_b, w_b = e, g, g
-            if kept == "a":
-                w_a *= 0.5
-            kept = "a"
+            b, g_b = e, g
         else:
-            a, g_a, w_a = e, g, g
-            if kept == "b":
-                w_b *= 0.5
-            kept = "b"
+            a, g_a = e, g
+        xs, gs = xs[-2:] + [e], gs[-2:] + [g]
+        e = _next_trial(xs, gs, a, b, tol_e)
     else:
         raise ConvergenceError(
             f"Pruefer refinement for n={n} did not reach {tol_e} in "

@@ -181,3 +181,26 @@ def test_verify_other_suites_pass():
         result = run_cli("verify", "--suite", suite)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["results"]["passed"] is True
+
+
+def test_energy_compare_oracle_supercritical_origin_warns():
+    # b1^2 - b2^2 = -0.28 < -1/4: the oracle cannot integrate from the
+    # origin, so the analytic level is reported without a comparison.
+    args = ("energy", "--m", "1", "--b1", "0.6", "--b2", "0.8", "--n", "0",
+            "--method", "implicit", "--compare", "oracle")
+    result = run_cli(*args)
+    assert result.returncode == 0
+    warnings = [line for line in result.stderr.splitlines() if line.startswith("WARN: oracle:")]
+    assert len(warnings) == 1
+    doc = json.loads(result.stdout)
+    assert doc["results"]["E_oracle"] is None
+    assert doc["results"]["deviation"] is None
+    assert doc["diagnostics"] == warnings
+    assert abs(float(doc["results"]["E"]) - 0.39717734749907074) < 1e-12
+
+    result = run_cli(*args, "--format", "csv")
+    assert result.returncode == 0
+    header, row = result.stdout.strip().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["E_oracle"] == "" and cells["deviation"] == ""
+    assert cells["E"] == doc["results"]["E"]

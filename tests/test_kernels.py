@@ -1,6 +1,7 @@
 """Lockstep checks between the compiled kernel and the pure-Python fallback."""
 
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -90,3 +91,45 @@ def test_env_var_forces_python_backend():
 
 def test_active_backend_reported():
     assert kernel_backend() in ("cython", "python")
+
+
+def _mixed_u_series(energy):
+    # a1 = 0.5, b1 = 0.5, a2 = 0.3, b2 = 0.2, m = 1: q4 > 0 at the origin.
+    return (1.0 - energy * energy, -2.0 * (0.5 + energy * 0.2),
+            2.0 * (0.5 + energy * 0.3) + 0.25 - 0.04,
+            -2.0 * (0.25 - 0.06), 0.25 - 0.09)
+
+
+def _pinned_sweeps():
+    kappa2, q1, q2, q3, q4 = _mixed_u_series(0.95)
+    a_u = math.sqrt(q4)
+    r_min = a_u / 30.0
+    log_deriv = a_u / (r_min * r_min) + (1.0 + q3 / (2.0 * a_u)) / r_min
+    outward = _radial_py.sweep(kappa2, q1, q2, q3, q4, r_min, 20.0, 1.0, log_deriv,
+                               0.05, 1e-10, 200000)
+
+    kappa2, q1 = 1.0 - 0.95 ** 2, -2.0 * (0.5 + 0.95 * 0.5)
+    kappa = math.sqrt(kappa2)
+    inward = _radial_py.sweep(kappa2, q1, 0.0, 0.0, 0.0, 150.0, 0.05, 1.0,
+                              -kappa + (-q1 / (2.0 * kappa)) / 150.0, 0.15, 1e-10, 200000)
+
+    renormalized = _sweep_with(
+        _radial_py, kappa2=4.0, q1=0.0, r0=1.0, r1=200.0, y=1.0, dy=2.0,
+        h_max=0.5, rtol=1e-10, max_steps=10 ** 6,
+    )
+    budget = _sweep_with(
+        _radial_py, r0=1e-3, r1=2.0, y=1.0, dy=1e3,
+        h_max=0.001, rtol=1e-12, max_steps=10,
+    )
+    return outward, inward, renormalized, budget
+
+
+def test_python_kernel_pinned_bitwise():
+    # Exact (psi, dpsi, nodes, status, steps) of the kernel as first
+    # recorded: a rewrite of the inner loop must reproduce every bit.
+    assert _pinned_sweeps() == (
+        (-3142471041181313.5, -527788297998886.06, 1, STATUS_OK, 1017),
+        (-21027338588789.23, 528783839872909.25, 3, STATUS_OK, 1153),
+        (6.869042332413264e+32, 1.373808466482653e+33, 0, STATUS_OK, 8030),
+        (5.119461281290585, 993.4858981159606, 0, STATUS_STEP_BUDGET, 10),
+    )

@@ -248,3 +248,57 @@ def test_default_grid_agrees_with_a_tighter_tolerance(params):
     default = deviation_report(params, 0)
     tight = deviation_report(params, 0, GridConfig(integrator_tolerance=1e-12))
     assert abs(default.oracle_energy - tight.oracle_energy) < 1e-7
+
+
+@pytest.mark.parametrize("params", [EQUAL, OPPOSITE, EQUAL_A])
+def test_manifold_solves_confirm_the_centred_level_cheaply(monkeypatch, params):
+    # The bracket is centred on the paper's level, exact on these manifolds,
+    # so the midpoint trial lands on the root and the search closes there.
+    counts = _count_oracle_work(monkeypatch)
+    for n in range(3):
+        before = counts["defects"]
+        report = deviation_report(params, n)
+        assert report.shooting.defect_evaluations == counts["defects"] - before
+        assert report.shooting.defect_evaluations <= 6
+
+
+@pytest.mark.parametrize("b1, b2, budget", [(0.8, 0.0, 15), (0.8, -0.2, 15), (0.4, 0.2, 11)])
+def test_offmanifold_solves_stay_within_the_regula_falsi_budget(b1, b2, budget):
+    # The budgets are the evaluations Illinois regula falsi spent here.
+    report = deviation_report(PotentialParams(m=1.0, b1=b1, b2=b2), 0)
+    assert report.shooting.defect_evaluations <= budget
+
+
+@pytest.mark.parametrize("offset", [1e-4, -1e-4, 1e-2, -1e-2])
+@pytest.mark.parametrize("params, n, level", [(EQUAL, 0, 0.6), (OPPOSITE, 1, -15.0 / 17.0)])
+def test_off_centre_bracket_returns_the_exact_level(params, n, level, offset):
+    result = kg_eigensolve(params, n, (level + offset - 0.05, level + offset + 0.05))
+    assert result is not None
+    assert result.energy == pytest.approx(level, abs=1e-9)
+    assert result.bracket[1] - result.bracket[0] <= 1e-8 * params.m
+    assert result.node_count == n
+
+
+def test_results_carry_plain_floats():
+    report = deviation_report(EQUAL, 0)
+    assert type(report.shooting.match_defect) is float
+    # At E = 0.6, the midpoint of (0.2, 1), U > 0 at every radius, so the
+    # matching radius is taken at the minimum of U.
+    params = PotentialParams(m=1.0, b1=0.35, b2=-0.21)
+    assert type(kg_match_defect(params, 0.6)[0]) is float
+    result = kg_eigensolve(params, 0, (0.2, 1.0))
+    assert type(result.match_defect) is float
+    assert type(result.energy) is float
+
+
+def test_flat_zero_of_the_mismatch_still_converges(monkeypatch):
+    # Interpolation creeps from one side towards a ninth-order zero; the
+    # step-halving guard bisects instead of exhausting the refinement budget.
+    def flat_mismatch(params, energy, grid, dom):
+        return 0.0, 0, (energy - 0.61) ** 9
+
+    monkeypatch.setattr(oracle, "_defect_on_domain", flat_mismatch)
+    result = kg_eigensolve(EQUAL, 0, (0.5, 0.7))
+    assert result.bracket[1] - result.bracket[0] <= 1e-8
+    assert result.energy == pytest.approx(0.61, abs=1e-8)
+    assert result.defect_evaluations <= 80
