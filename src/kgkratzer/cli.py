@@ -11,6 +11,10 @@ Output contract:
 
 Exit codes: 0 success, 2 invalid parameters, 3 no bound state found,
 4 convergence failure (and 1 for a verification suite that ran but failed).
+
+Size flags are capped so that no request can ask for unbounded work or
+memory: spectrum --nmax <= 1000, scan --steps <= 10000, wavefunction
+--points <= 1000000 and verify --cases <= 100000.  A larger value exits 2.
 """
 
 from __future__ import annotations
@@ -19,9 +23,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .errors import (
@@ -46,6 +48,11 @@ from .verify import run_suite
 from .wavefunction import eval_ground_state, normalization
 
 _PARAM_KEYS = ("m", "a1", "b1", "a2", "b2")
+
+MAX_NMAX = 1000
+MAX_SCAN_STEPS = 10_000
+MAX_POINTS = 1_000_000
+MAX_CASES = 100_000
 
 
 def _fmt(value):
@@ -83,23 +90,6 @@ class _Diagnostics:
         print(line, file=sys.stderr)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("KGK_NUM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = _max_workers()
-    if workers <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # map preserves order
-
-
 def _load_config(path):
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
@@ -116,6 +106,11 @@ def _resolve(ns, config, key, default=None, cast=None):
     if value is None:
         return None
     return cast(value) if cast else value
+
+
+def _check_cap(flag: str, value: int, cap: int):
+    if value > cap:
+        raise DomainError(f"--{flag} must be <= {cap}, got {value}")
 
 
 def _params_from(ns, config) -> PotentialParams:
@@ -195,6 +190,7 @@ def _cmd_spectrum(ns, config, diag) -> int:
     n_max = _resolve(ns, config, "nmax", cast=int)
     if n_max is None or n_max < 0:
         raise DomainError("--nmax is required and must be >= 0")
+    _check_cap("nmax", n_max, MAX_NMAX)
     branch = _resolve(ns, config, "branch", default="all")
     fmt = _resolve(ns, config, "format", default="json")
     output = _resolve(ns, config, "output")
@@ -208,7 +204,7 @@ def _cmd_spectrum(ns, config, diag) -> int:
             failures.append(f"level n={n}: {exc}")
             return []
 
-    levels = [lvl for group in _pmap(level_rows, range(n_max + 1)) for lvl in group]
+    levels = [lvl for n in range(n_max + 1) for lvl in level_rows(n)]
     if branch != "all":
         levels = [lvl for lvl in levels if lvl.branch == branch]
     levels.sort(key=lambda lvl: (lvl.n, lvl.branch, lvl.energy))
@@ -355,6 +351,7 @@ def _cmd_wavefunction(ns, config, diag) -> int:
         raise DomainError(f"need 0 < rmin < rmax, got rmin={r_min}, rmax={r_max}")
     if points < 2:
         raise DomainError("--points must be >= 2")
+    _check_cap("points", points, MAX_POINTS)
 
     if raw_e == "auto":
         level = _select_level(solve_levels(params, n), "particle")
@@ -405,6 +402,7 @@ def _cmd_verify(ns, config, diag) -> int:
     seed = _resolve(ns, config, "seed", default=0, cast=int)
     cases = _resolve(ns, config, "cases", default=200, cast=int)
     output = _resolve(ns, config, "output")
+    _check_cap("cases", cases, MAX_CASES)
     try:
         report = run_suite(suite, seed=seed, cases=cases)
     except ValueError as exc:
@@ -434,6 +432,7 @@ def _cmd_scan(ns, config, diag) -> int:
         raise DomainError("--from, --to and --steps are required")
     if steps < 1:
         raise DomainError("--steps must be >= 1")
+    _check_cap("steps", steps, MAX_SCAN_STEPS)
     base = {key: _resolve(ns, config, key, cast=float) for key in _PARAM_KEYS}
 
     values = [start + (stop - start) * i / steps for i in range(steps + 1)]

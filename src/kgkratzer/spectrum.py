@@ -111,10 +111,15 @@ class SpectrumRun:
 
 
 def _residual_array(params: PotentialParams, n: int, energies: np.ndarray) -> np.ndarray:
-    # Assumes the inner radicand is nonnegative on every entry.
     m = params.m
     k = 2.0 * (m * params.b1 + energies * params.b2)
-    root = np.sqrt(1.0 + 8.0 * (m * params.a1 + energies * params.a2))
+    radicand = 1.0 + 8.0 * (m * params.a1 + energies * params.a2)
+    if energies.ndim:
+        # Rounding can leave -4e-16 where a scan grid meets the radicand's
+        # zero: clamp to 0 (bit-identical on nonnegative entries), not NaN.
+        # spectrum_residual has already rejected a negative scalar.
+        radicand = np.maximum(radicand, 0.0)
+    root = np.sqrt(radicand)
     denom = 2.0 * n + 1.0 + root
     return energies * energies - m * m + (k * k) / (denom * denom)
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).parent / "golden" / "verify_residuals_seed7.json"
 
 
@@ -48,6 +50,21 @@ def test_no_bound_state_exit_3():
 def test_unknown_flag_exit_2():
     result = run_cli("spectrum", "--m", "1", "--nmax", "1", "--bogus", "3")
     assert result.returncode == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--nmax", "1001"),
+    ("scan", "--m", "1", "--param", "b1", "--from", "0.1", "--to", "0.5",
+     "--steps", "10001"),
+    ("wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--e", "0.6",
+     "--rmin", "0.1", "--rmax", "5", "--points", "1000001"),
+    ("verify", "--suite", "residuals", "--cases", "100001"),
+])
+def test_size_flag_above_cap_exit_2(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stderr.startswith("ERROR:")
+    assert result.stdout == ""
 
 
 def test_energy_json_record():

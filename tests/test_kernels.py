@@ -1,26 +1,17 @@
-"""Lockstep checks between the compiled kernel and the pure-Python fallback."""
+"""Checks and bitwise pins of the radial integration kernel."""
 
-import importlib.util
 import math
-import os
-import subprocess
-import sys
 
-import pytest
-
-from kgkratzer import _radial_py
-from kgkratzer._radial import STATUS_OK, STATUS_STEP_BUDGET, kernel_backend
-
-_HAS_CY = importlib.util.find_spec("kgkratzer._radial_cy") is not None
+from kgkratzer._radial import STATUS_OK, STATUS_STEP_BUDGET, kernel_backend, sweep
 
 # U-series for the equal-coupling reference problem at E = 0.58.
 REF = dict(kappa2=1.0 - 0.58 ** 2, q1=-2.0 * (0.5 + 0.58 * 0.5), q2=0.0, q3=0.0, q4=0.0)
 
 
-def _sweep_with(mod, **kw):
+def _sweep_with(**kw):
     args = dict(REF)
     args.update(kw)
-    return mod.sweep(
+    return sweep(
         args["kappa2"], args["q1"], args["q2"], args["q3"], args["q4"],
         args["r0"], args["r1"], args["y"], args["dy"],
         args["h_max"], args["rtol"], args["max_steps"],
@@ -29,7 +20,7 @@ def _sweep_with(mod, **kw):
 
 def test_python_kernel_basic_sweep():
     y, dy, nodes, status, steps = _sweep_with(
-        _radial_py, r0=1e-3, r1=2.0, y=1.0, dy=1.0 / 1e-3,
+        r0=1e-3, r1=2.0, y=1.0, dy=1.0 / 1e-3,
         h_max=0.01, rtol=1e-10, max_steps=10 ** 6,
     )
     assert status == STATUS_OK
@@ -38,30 +29,10 @@ def test_python_kernel_basic_sweep():
     assert y > 0.0
 
 
-@pytest.mark.skipif(not _HAS_CY, reason="compiled kernel not built")
-def test_backends_agree_bitwise_or_close():
-    from kgkratzer import _radial_cy
-
-    for e_trial in (0.55, 0.6, 0.65):
-        ref = dict(REF)
-        ref["kappa2"] = 1.0 - e_trial ** 2
-        ref["q1"] = -2.0 * (0.5 + e_trial * 0.5)
-        kw = dict(r0=1e-3, r1=3.0, y=1.0, dy=1e3,
-                  h_max=0.005, rtol=1e-10, max_steps=10 ** 6)
-        kw.update(ref)
-        y_py, dy_py, n_py, s_py, k_py = _sweep_with(_radial_py, **kw)
-        y_cy, dy_cy, n_cy, s_cy, k_cy = _sweep_with(_radial_cy, **kw)
-        assert s_py == s_cy == STATUS_OK
-        assert n_py == n_cy
-        assert k_py == k_cy
-        assert y_cy == pytest.approx(y_py, rel=1e-12)
-        assert dy_cy == pytest.approx(dy_py, rel=1e-12)
-
-
 def test_renormalization_keeps_sign_and_nodes():
     # kappa^2 = 4 over a 200-length span overflows e^400 without rescaling
     y, dy, nodes, status, steps = _sweep_with(
-        _radial_py, kappa2=4.0, q1=0.0, r0=1.0, r1=200.0, y=1.0, dy=2.0,
+        kappa2=4.0, q1=0.0, r0=1.0, r1=200.0, y=1.0, dy=2.0,
         h_max=0.5, rtol=1e-10, max_steps=10 ** 6,
     )
     assert status == STATUS_OK
@@ -72,25 +43,15 @@ def test_renormalization_keeps_sign_and_nodes():
 
 def test_step_budget_status():
     _, _, _, status, steps = _sweep_with(
-        _radial_py, r0=1e-3, r1=2.0, y=1.0, dy=1e3,
+        r0=1e-3, r1=2.0, y=1.0, dy=1e3,
         h_max=0.001, rtol=1e-12, max_steps=10,
     )
     assert status == STATUS_STEP_BUDGET
     assert steps == 10
 
 
-def test_env_var_forces_python_backend():
-    env = dict(os.environ, KGK_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from kgkratzer import kernel_backend; print(kernel_backend())"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
 def test_active_backend_reported():
-    assert kernel_backend() in ("cython", "python")
+    assert kernel_backend() == "python"
 
 
 def _mixed_u_series(energy):
@@ -105,20 +66,20 @@ def _pinned_sweeps():
     a_u = math.sqrt(q4)
     r_min = a_u / 30.0
     log_deriv = a_u / (r_min * r_min) + (1.0 + q3 / (2.0 * a_u)) / r_min
-    outward = _radial_py.sweep(kappa2, q1, q2, q3, q4, r_min, 20.0, 1.0, log_deriv,
-                               0.05, 1e-10, 200000)
+    outward = sweep(kappa2, q1, q2, q3, q4, r_min, 20.0, 1.0, log_deriv,
+                    0.05, 1e-10, 200000)
 
     kappa2, q1 = 1.0 - 0.95 ** 2, -2.0 * (0.5 + 0.95 * 0.5)
     kappa = math.sqrt(kappa2)
-    inward = _radial_py.sweep(kappa2, q1, 0.0, 0.0, 0.0, 150.0, 0.05, 1.0,
-                              -kappa + (-q1 / (2.0 * kappa)) / 150.0, 0.15, 1e-10, 200000)
+    inward = sweep(kappa2, q1, 0.0, 0.0, 0.0, 150.0, 0.05, 1.0,
+                   -kappa + (-q1 / (2.0 * kappa)) / 150.0, 0.15, 1e-10, 200000)
 
     renormalized = _sweep_with(
-        _radial_py, kappa2=4.0, q1=0.0, r0=1.0, r1=200.0, y=1.0, dy=2.0,
+        kappa2=4.0, q1=0.0, r0=1.0, r1=200.0, y=1.0, dy=2.0,
         h_max=0.5, rtol=1e-10, max_steps=10 ** 6,
     )
     budget = _sweep_with(
-        _radial_py, r0=1e-3, r1=2.0, y=1.0, dy=1e3,
+        r0=1e-3, r1=2.0, y=1.0, dy=1e3,
         h_max=0.001, rtol=1e-12, max_steps=10,
     )
     return outward, inward, renormalized, budget

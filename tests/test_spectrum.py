@@ -133,6 +133,17 @@ def test_partial_radicand_domain_is_split():
         assert 1.0 + 8.0 * lvl.energy * params.a2 >= 0.0
 
 
+def test_root_next_to_radicand_boundary():
+    # The valid interval ends where the radicand crosses zero; rounding makes
+    # it -4.4e-16 there, and the root in the last scan cell must survive.
+    params = PotentialParams(m=0.880349382770468, a1=0.5153775736808409,
+                             b1=-1.1053328306387669, a2=-0.9885305893184859,
+                             b2=-0.0453924072737637)
+    levels = solve_levels(params, 1)
+    assert len(levels) == 2
+    assert abs(levels[1].energy - 0.58522485301686) < 1e-12
+
+
 def test_equal_manifold_monotone_energies():
     params = PotentialParams(m=1.0, a1=0.5, b1=0.5, a2=0.5, b2=0.5)
     energies = []
