@@ -37,11 +37,11 @@ from .oracle import GridConfig, deviation_report
 from .spectrum import (
     CLOSED_FORM_CASES,
     SERIES_CASES,
-    SolverConfig,
     approx_energy,
     classify_branch,
     closed_form,
     solve_levels,
+    solve_spectrum,
     spectrum_residual,
 )
 from .verify import run_suite
@@ -113,11 +113,14 @@ def _check_cap(flag: str, value: int, cap: int):
         raise DomainError(f"--{flag} must be <= {cap}, got {value}")
 
 
-def _params_from(ns, config) -> PotentialParams:
+def _params_from(ns, config, **overrides) -> PotentialParams:
+    """Couplings from flags, config and defaults; ``overrides`` win over all."""
     values = {}
     for key in _PARAM_KEYS:
-        default = None if key == "m" else 0.0
-        value = _resolve(ns, config, key, default=default, cast=float)
+        value = overrides.get(key)
+        if value is None:
+            default = None if key == "m" else 0.0
+            value = _resolve(ns, config, key, default=default, cast=float)
         if value is None:
             raise DomainError(f"missing required parameter --{key}")
         values[key] = value
@@ -195,21 +198,12 @@ def _cmd_spectrum(ns, config, diag) -> int:
     fmt = _resolve(ns, config, "format", default="json")
     output = _resolve(ns, config, "output")
 
-    failures: list[str] = []
-
-    def level_rows(n):
-        try:
-            return solve_levels(params, n)
-        except ConvergenceError as exc:
-            failures.append(f"level n={n}: {exc}")
-            return []
-
-    levels = [lvl for n in range(n_max + 1) for lvl in level_rows(n)]
+    run = solve_spectrum(params, n_max)
+    levels = run.levels()
     if branch != "all":
         levels = [lvl for lvl in levels if lvl.branch == branch]
-    levels.sort(key=lambda lvl: (lvl.n, lvl.branch, lvl.energy))
-    for message in failures:
-        diag.warn(message)
+    for n, message in run.failures:
+        diag.warn(f"level n={n}: {message}")
 
     document = {
         "request": _base_request("spectrum", params, fmt, output,
@@ -223,7 +217,7 @@ def _cmd_spectrum(ns, config, diag) -> int:
         for lvl in levels
     ]
     _emit(ns, document, rows, ("n", "branch", "E", "method", "residual"))
-    if failures:
+    if run.failures:
         return 4
     if not levels:
         diag.error("no bound state found in the requested range")
@@ -437,23 +431,12 @@ def _cmd_scan(ns, config, diag) -> int:
 
     values = [start + (stop - start) * i / steps for i in range(steps + 1)]
 
-    def solve_point(value):
-        merged = dict(base)
-        merged[name] = value
-        for key, entry in merged.items():
-            if entry is None:
-                merged[key] = 0.0 if key != "m" else None
-        if merged["m"] is None:
-            raise DomainError("missing required parameter --m")
-        point_params = PotentialParams(**merged)
-        return value, solve_levels(point_params, n)
-
     rows = []
     skipped = 0
     failed = 0
     for value in values:
         try:
-            value, levels = solve_point(value)
+            levels = solve_levels(_params_from(ns, config, **{name: value}), n)
         except DomainError as exc:
             diag.warn(f"{name}={_fmt(value)} skipped: {exc}")
             skipped += 1

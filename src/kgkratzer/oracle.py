@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._radial import STATUS_OK, sweep, u_eval
+from ._search import bracketed_search
 from .errors import ConvergenceError, DomainError, FallToCenterError, NoBoundStateError
 from .model import PotentialParams
 from .spectrum import EnergyLevel, SolverConfig, solve_levels
@@ -298,34 +299,6 @@ def _subcritical_bracket(params: PotentialParams, lo: float, hi: float):
 _MAX_REFINEMENTS = 200
 
 
-def _next_trial(xs, gs, a: float, b: float, tol: float) -> float:
-    """Next trial energy inside the bracket [a, b] of a sign change of g.
-
-    xs, gs hold the latest three trials, oldest first; the newest, xs[-1],
-    is always an end of the bracket.  Inverse quadratic interpolation through
-    them (the secant through the latest two when two g agree) falls back to
-    bisection when it leaves the bracket or does not halve the step before
-    last (Brent's bound on slow progress), and stays tol/4 inside the ends.
-    A step shorter than tol/2 is lengthened to tol/2 towards the other end,
-    so the bracket also collapses from the side the steps approach it from.
-    """
-    (x0, x1, x2), (g0, g1, g2) = xs, gs
-    if g0 != g1 and g0 != g2 and g1 != g2:
-        e = (x0 * g1 * g2 / ((g0 - g1) * (g0 - g2))
-             + x1 * g0 * g2 / ((g1 - g0) * (g1 - g2))
-             + x2 * g0 * g1 / ((g2 - g0) * (g2 - g1)))
-    elif g1 != g2:
-        e = x2 - g2 * (x2 - x1) / (g2 - g1)
-    else:
-        e = a  # no interpolant: bisect
-    if not (a < e < b and abs(e - x2) < 0.5 * abs(x1 - x0)):
-        e = 0.5 * (a + b)
-    e = min(max(e, a + 0.25 * tol), b - 0.25 * tol)
-    if abs(e - x2) < 0.5 * tol:
-        e = x2 + 0.5 * tol if x2 == a else x2 - 0.5 * tol
-    return e
-
-
 def kg_eigensolve(
     params: PotentialParams,
     n: int,
@@ -357,50 +330,23 @@ def kg_eigensolve(
 
     # Fixed radii keep the mismatch continuous in E across the bracket.
     dom = _domain(params, 0.5 * (lo + hi), grid)
-    evaluations = 0
 
     def excess(e: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
         return _defect_on_domain(params, e, grid, dom)[2] - n
 
     # Delta rises with E where E > V_V and falls where E < V_V (the
     # antiparticle side), so only the sign change is used, not its direction.
-    a, b = lo, hi
-    g_a, g_b = excess(a), excess(b)
+    g_a, g_b = excess(lo), excess(hi)
     if g_a * g_b > 0.0:
         return None
-    if g_a == 0.0:
-        b = a
-    elif g_b == 0.0:
-        a = b
     tol_e = 1e-8 * m
     # Callers centre the bracket on their estimate of the level, so the
     # midpoint is the first interior trial.
-    xs, gs = [a, b], [g_a, g_b]
-    e = 0.5 * (a + b)
-    for _ in range(_MAX_REFINEMENTS):
-        if b - a <= tol_e:
-            break
-        g = excess(e)
-        if g == 0.0:
-            a = b = e
-            break
-        if (g > 0.0) == (g_b > 0.0):
-            b, g_b = e, g
-        else:
-            a, g_a = e, g
-        xs, gs = xs[-2:] + [e], gs[-2:] + [g]
-        e = _next_trial(xs, gs, a, b, tol_e)
-    else:
-        raise ConvergenceError(
-            f"Pruefer refinement for n={n} did not reach {tol_e} in "
-            f"{_MAX_REFINEMENTS} steps; bracket ({a}, {b})"
-        )
+    a, b, g_a, g_b, trials = bracketed_search(
+        excess, lo, hi, g_a, g_b, 0.5 * (lo + hi), tol_e, _MAX_REFINEMENTS)
 
     # Across the final bracket Delta is linear to far below its width.
     e_star = a if a == b else a - g_a * (b - a) / (g_b - g_a)
-    evaluations += 1
     defect_star, nodes_star, _ = _defect_on_domain(params, e_star, grid, dom)
     if nodes_star != n:
         raise ConvergenceError(
@@ -413,7 +359,7 @@ def kg_eigensolve(
         match_defect=defect_star,
         bracket=(a, b),
         grid=grid,
-        defect_evaluations=evaluations,
+        defect_evaluations=trials + 3,  # the two ends and the node check
     )
 
 

@@ -5,12 +5,15 @@ The spectrum is defined implicitly by
     f(E) = E^2 - m^2 + 4*(m*b1 + E*b2)^2 / (2n + 1 + sqrt(1 + 8*(m*a1 + E*a2)))^2
 
 whose zeros on (-m, m) are the bound-state energies for level ``n``.  The
-equation is transcendental in E through both the Coulomb strength
-``k(E) = 2*(m*b1 + E*b2)`` and the centrifugal index hidden in the square
-root, so the general solver scans for sign changes and refines each bracket
-by secant-accelerated bisection.  Degenerate coupling families admit exact
-closed forms and truncated-series approximations; both are provided verbatim
-so they can be cross-checked against the implicit roots.
+equation is transcendental in E only through the square root
+s = sqrt(1 + 8*(m*a1 + E*a2)).  Squaring s away turns every zero into a root
+of a polynomial of degree at most 6, so the general solver takes the roots
+of that polynomial as candidates, keeps those around which f changes sign,
+and polishes each to machine resolution by a bracketed Brent search on f
+itself.  The list of levels is complete by construction: no scan grid can
+miss one.  Degenerate coupling families admit exact closed forms and
+truncated-series approximations; both are provided verbatim so they can be
+cross-checked against the implicit roots.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._search import bracketed_search
 from .errors import ConvergenceError, DomainError, StructuralConstraintError
 from .model import (
     AdmissibilityReport,
@@ -59,22 +63,20 @@ SERIES_CASES = ("pure_vector_series", "equal_series", "opposite_series")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the scan-and-bisect root search.
+    """Knobs for the polynomial-candidate root search.
 
-    ``energy_margin`` is the exclusion zone at E = +-m (both endpoints carry
-    a trivial or double zero of f); None means 1e-9 * m.
+    A level is accepted when |f| < ``root_tolerance`` at the end of its
+    polished bracket; ``max_iterations`` caps the f(E) evaluations of one
+    polish.  ``energy_margin`` is the exclusion zone at E = +-m (both
+    endpoints carry a trivial or double zero of f); None means 1e-9 * m.
     """
 
-    scan_points: int = 2000
     root_tolerance: float = 1e-12
-    bracket_tolerance: float = 1e-13
     max_iterations: int = 200
     energy_margin: float | None = None
 
     def __post_init__(self):
-        if self.scan_points < 100:
-            raise ValueError("scan_points must be >= 100")
-        for name in ("root_tolerance", "bracket_tolerance", "max_iterations"):
+        for name in ("root_tolerance", "max_iterations"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.energy_margin is not None and self.energy_margin <= 0:
@@ -113,12 +115,9 @@ class SpectrumRun:
 def _residual_array(params: PotentialParams, n: int, energies: np.ndarray) -> np.ndarray:
     m = params.m
     k = 2.0 * (m * params.b1 + energies * params.b2)
-    radicand = 1.0 + 8.0 * (m * params.a1 + energies * params.a2)
-    if energies.ndim:
-        # Rounding can leave -4e-16 where a scan grid meets the radicand's
-        # zero: clamp to 0 (bit-identical on nonnegative entries), not NaN.
-        # spectrum_residual has already rejected a negative scalar.
-        radicand = np.maximum(radicand, 0.0)
+    # Rounding can leave -4e-16 where a cell edge or a polishing trial meets
+    # the radicand's zero: clamp to 0 (bit-identical elsewhere), not NaN.
+    radicand = np.maximum(1.0 + 8.0 * (m * params.a1 + energies * params.a2), 0.0)
     root = np.sqrt(radicand)
     denom = 2.0 * n + 1.0 + root
     return energies * energies - m * m + (k * k) / (denom * denom)
@@ -136,101 +135,97 @@ def spectrum_residual(params: PotentialParams, n: int, energy: float) -> float:
     return float(_residual_array(params, int(n), np.asarray(float(energy)))[()])
 
 
-def _valid_intervals(params: PotentialParams, cfg: SolverConfig) -> list[tuple[float, float]]:
+def _window(params: PotentialParams, cfg: SolverConfig) -> tuple[float, float] | None:
     """Intersect (-m + margin, m - margin) with the nonnegative-radicand side."""
     m = params.m
     lo, hi = -m + cfg.margin(m), m - cfg.margin(m)
-    if lo >= hi:
-        return []
     base = 1.0 + 8.0 * params.m * params.a1
     slope = 8.0 * params.a2
     if slope == 0.0:
-        return [(lo, hi)] if base >= 0.0 else []
-    crossing = -base / slope
-    if slope > 0.0:  # valid side: E >= crossing
-        lo = max(lo, crossing)
+        if base < 0.0:
+            return None
+    elif slope > 0.0:  # valid side: E >= crossing
+        lo = max(lo, -base / slope)
     else:
-        hi = min(hi, crossing)
-    return [(lo, hi)] if lo < hi else []
+        hi = min(hi, -base / slope)
+    return (lo, hi) if lo < hi else None
 
 
-def _refine_bracket(params, n, lo, hi, f_lo, f_hi, cfg: SolverConfig):
-    """Shrink a sign-change bracket; secant candidate, bisection fallback.
+def _candidates(params: PotentialParams, n: int) -> np.ndarray:
+    """Real parts of the roots of P(E) = X^2 - Y^2 * s^2, sorted.
 
-    Iterates until both tolerances hold (bracket width and |f| at the best
-    endpoint) or the bracket reaches machine resolution with |f| below the
-    root tolerance.  Returns (root, |f(root)|, iterations); raises
-    ConvergenceError when the budget runs out first.
+    With N = 2n + 1 and s^2 = c0 + c1*E = 1 + 8*(m*a1 + E*a2), the residual
+    obeys f(E) * (N + s)^2 = X + Y*s, where
+    X = (E^2 - m^2)(N^2 + c0 + c1*E) + 4*(m*b1 + E*b2)^2 and
+    Y = 2N(E^2 - m^2).  Every zero of f is therefore a zero of the
+    polynomial P, of degree at most 6; P also vanishes where X = Y*s, the
+    s < 0 branch, which the sign test on each cell discards.
     """
-    if f_lo == 0.0:
-        return lo, 0.0, 0
-    if f_hi == 0.0:
-        return hi, 0.0, 0
-
-    prev_width = math.inf
-    for iteration in range(1, cfg.max_iterations + 1):
-        width = hi - lo
-        best_f, best_e = min((abs(f_lo), lo), (abs(f_hi), hi))
-        if best_f < cfg.root_tolerance and width < cfg.bracket_tolerance:
-            return best_e, best_f, iteration
-        floor = 4.0 * 2.3e-16 * max(abs(lo), abs(hi))
-        if width <= floor:
-            if best_f < cfg.root_tolerance:
-                return best_e, best_f, iteration
-            break  # steep residual: cannot satisfy the |f| tolerance
-        trial = 0.5 * (lo + hi)
-        # A secant candidate is used only while the bracket keeps halving,
-        # so a stalling secant cannot starve the bisection.
-        if width < 0.5 * prev_width and f_hi != f_lo:
-            secant = lo - f_lo * (hi - lo) / (f_hi - f_lo)
-            if lo + 0.05 * width < secant < hi - 0.05 * width:
-                trial = secant
-        prev_width = width
-        f_trial = spectrum_residual(params, n, trial)
-        if f_trial == 0.0:
-            return trial, 0.0, iteration
-        if (f_lo < 0.0) != (f_trial < 0.0):
-            hi, f_hi = trial, f_trial
-        else:
-            lo, f_lo = trial, f_trial
-    raise ConvergenceError(
-        f"bracket [{lo}, {hi}] for level n={n} did not converge "
-        f"within {cfg.max_iterations} iterations"
-    )
+    m2, b1, b2 = params.m * params.m, params.b1, params.b2
+    big_n2 = (2.0 * n + 1.0) ** 2
+    c0 = 1.0 + 8.0 * params.m * params.a1
+    c1 = 8.0 * params.a2
+    # X = x3*E^3 + x2*E^2 + x1*E + x0 and Y^2 = w*(E^2 - m^2)^2.
+    x3 = c1
+    x2 = big_n2 + c0 + 4.0 * b2 * b2
+    x1 = 8.0 * params.m * b1 * b2 - m2 * c1
+    x0 = m2 * (4.0 * b1 * b1 - big_n2 - c0)
+    w = 4.0 * big_n2
+    coefficients = [
+        x3 * x3,
+        2.0 * x3 * x2 - w * c1,
+        x2 * x2 + 2.0 * x3 * x1 - w * c0,
+        2.0 * (x3 * x0 + x2 * x1 + m2 * w * c1),
+        x1 * x1 + 2.0 * (x2 * x0 + m2 * w * c0),
+        2.0 * x1 * x0 - m2 * m2 * w * c1,
+        x0 * x0 - m2 * m2 * w * c0,
+    ]
+    # Near-real pairs split by rounding keep both real parts: each gets a
+    # cell, and the sign test decides whether a level lies in it.
+    return np.sort(np.roots(coefficients).real)
 
 
-def _scan_roots(params, n, cfg: SolverConfig) -> list[tuple[float, float, int]]:
-    roots: list[tuple[float, float, int]] = []
-    for lo, hi in _valid_intervals(params, cfg):
-        scan_points = cfg.scan_points
-        for _attempt in range(4):
-            grid = np.linspace(lo, hi, scan_points)
-            values = _residual_array(params, n, grid)
-            found: list[tuple[float, float, int]] = []
-            signs = np.sign(values)
-            for i in np.nonzero(signs[:-1] * signs[1:] < 0)[0]:
-                found.append(
-                    _refine_bracket(
-                        params, n,
-                        float(grid[i]), float(grid[i + 1]),
-                        float(values[i]), float(values[i + 1]), cfg,
-                    )
-                )
-            for i in np.nonzero(signs == 0)[0]:
-                found.append((float(grid[i]), 0.0, 0))
-            found.sort()
-            # Adjacent refined roots that coincide hint at a merged pair the
-            # scan could not separate: rescan twice as densely.
-            merged = any(
-                abs(found[j + 1][0] - found[j][0]) < 10.0 * cfg.root_tolerance
-                for j in range(len(found) - 1)
+def _roots(params, n, cfg: SolverConfig) -> list[tuple[float, float, int]]:
+    """(energy, |f|, search evaluations) of every zero of f in the window.
+
+    Cuts at the midpoints between consecutive candidates, clipped to the
+    window, split it into one cell per candidate.  A cell whose ends differ
+    in sign holds one level, which the bracketed search narrows to machine
+    resolution starting from the candidate.
+    """
+    window = _window(params, cfg)
+    if window is None:
+        return []
+    lo, hi = window
+    candidates = _candidates(params, n)
+    cuts = np.clip(0.5 * (candidates[:-1] + candidates[1:]), lo, hi)
+    edges = np.concatenate(([lo], cuts, [hi]))
+    values = _residual_array(params, n, edges).tolist()
+    edges = edges.tolist()
+
+    def residual(energy: float) -> float:
+        return float(_residual_array(params, n, np.asarray(energy)))
+
+    roots = []
+    for i, candidate in enumerate(candidates.tolist()):
+        a, b, f_a, f_b = edges[i], edges[i + 1], values[i], values[i + 1]
+        # An exact zero is a level on its cell's left end, or on the window's
+        # top end, so a zero shared by two cells counts once.
+        has_level = f_a * f_b < 0.0 or f_a == 0.0 or (f_b == 0.0 and b == hi)
+        if not (a < b and has_level):
+            continue
+        floor = 4.0 * 2.3e-16 * max(abs(a), abs(b))
+        a, b, f_a, f_b, evaluations = bracketed_search(
+            residual, a, b, f_a, f_b, min(max(candidate, a), b), floor,
+            cfg.max_iterations,
+        )
+        best_f, best_e = min((abs(f_a), a), (abs(f_b), b))
+        if best_f >= cfg.root_tolerance:
+            raise ConvergenceError(
+                f"level n={n} at E={best_e}: |f| = {best_f} is not below "
+                f"the root tolerance {cfg.root_tolerance}"
             )
-            if not merged:
-                roots.extend(found)
-                break
-            scan_points *= 2
-        else:
-            roots.extend(found)
+        roots.append((best_e, best_f, evaluations))
     return roots
 
 
@@ -257,21 +252,18 @@ def solve_levels(
     if n < 0 or int(n) != n:
         raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
     n = int(n)
-    levels = []
-    for energy, fval, iterations in _scan_roots(params, n, cfg):
-        levels.append(
-            EnergyLevel(
-                n=n,
-                energy=energy,
-                branch=classify_branch(params, energy),
-                admissibility=admissibility(params, energy),
-                method="implicit_root",
-                residual=fval,
-                iterations=iterations,
-            )
+    return [  # the cells, and so the roots, come in ascending order
+        EnergyLevel(
+            n=n,
+            energy=energy,
+            branch=classify_branch(params, energy),
+            admissibility=admissibility(params, energy),
+            method="implicit_root",
+            residual=fval,
+            iterations=iterations,
         )
-    levels.sort(key=lambda lvl: lvl.energy)
-    return levels
+        for energy, fval, iterations in _roots(params, n, cfg)
+    ]
 
 
 def solve_spectrum(

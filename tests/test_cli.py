@@ -221,3 +221,34 @@ def test_energy_compare_oracle_supercritical_origin_warns():
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["E_oracle"] == "" and cells["deviation"] == ""
     assert cells["E"] == doc["results"]["E"]
+
+
+def test_scan_without_mass_warns_per_point_then_exits_2():
+    result = run_cli("scan", "--b2", "0.5", "--param", "b1", "--from", "0.1",
+                     "--to", "0.3", "--steps", "2")
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "WARN: b1=0.10000000000000001 skipped: missing required parameter --m",
+        "WARN: b1=0.20000000000000001 skipped: missing required parameter --m",
+        "WARN: b1=0.29999999999999999 skipped: missing required parameter --m",
+        "ERROR: every scan point had invalid parameters",
+    ]
+
+
+def test_spectrum_warns_for_a_failed_level_and_exits_4(monkeypatch, capsys):
+    from kgkratzer import ConvergenceError, cli, spectrum
+
+    solve_levels = spectrum.solve_levels
+
+    def fail_at_one(params, n, config=None):
+        if n == 1:
+            raise ConvergenceError("no convergence")
+        return solve_levels(params, n, config)
+
+    monkeypatch.setattr(spectrum, "solve_levels", fail_at_one)
+    code = cli.main(["spectrum", "--m", "1", "--b1", "0.5", "--b2", "0.5",
+                     "--nmax", "2", "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert err == "WARN: level n=1: no convergence\n"
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0", "2"]

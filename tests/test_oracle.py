@@ -302,3 +302,15 @@ def test_flat_zero_of_the_mismatch_still_converges(monkeypatch):
     assert result.bracket[1] - result.bracket[0] <= 1e-8
     assert result.energy == pytest.approx(0.61, abs=1e-8)
     assert result.defect_evaluations <= 80
+
+
+@pytest.mark.parametrize("params, bracket, energy, evaluations", [
+    (EQUAL, (0.55, 0.65), 0.5999999998694585, 5),
+    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197736547, 11),
+])
+def test_eigensolve_trial_sequence_is_pinned(params, bracket, energy, evaluations):
+    # Exact energies and evaluation counts of the midpoint-first Brent search;
+    # any change to its trial sequence moves at least one of them.
+    result = kg_eigensolve(params, 0, bracket)
+    assert result.energy == energy
+    assert result.defect_evaluations == evaluations

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from kgkratzer import (
@@ -264,8 +266,6 @@ def test_nonrel_epsilon_values():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(scan_points=10)
-    with pytest.raises(ValueError):
         SolverConfig(root_tolerance=0.0)
     with pytest.raises(ValueError):
         SolverConfig(energy_margin=-1.0)
@@ -279,3 +279,66 @@ def test_convergence_error_on_tiny_budget():
     # solve_spectrum records per-level failures instead of raising
     run = solve_spectrum(params, 1, cfg)
     assert len(run.failures) == 2
+
+
+def test_levels_of_a_badly_scaled_polynomial_are_polished():
+    # With a2 = 1e-12 the polynomial has a pair of roots near -8.5e11, and
+    # the candidate for the upper level, 4e-6 below the window's top, is
+    # 8e-7 off: the cell around it must still be found and polished on f.
+    params = PotentialParams(m=0.9094436158201368, a1=0.94505995975458,
+                             b1=-1.4167334466057717, a2=1e-12,
+                             b2=1.408214584975382)
+    levels = solve_levels(params, 1)
+    assert len(levels) == 2
+    assert abs(levels[0].energy - -0.560905995428118) < 1e-12
+    assert abs(levels[1].energy - 0.9094396950074799) < 1e-12
+
+
+def _dense_scan_roots(params, n, points=20001):
+    # Independent reference: f on a uniform grid over the solver's window,
+    # each sign change narrowed by bisection far below a grid cell.
+    m, a1, b1, a2, b2 = params.m, params.a1, params.b1, params.a2, params.b2
+    base = 1.0 + 8.0 * m * a1
+    lo, hi = -m + 1e-9 * m, m - 1e-9 * m
+    if a2 > 0.0:
+        lo = max(lo, -base / (8.0 * a2))
+    elif a2 < 0.0:
+        hi = min(hi, -base / (8.0 * a2))
+    elif base < 0.0:
+        return [], 0.0
+
+    def f(e):
+        s = np.sqrt(np.maximum(base + 8.0 * e * a2, 0.0))
+        return e * e - m * m + 4.0 * (m * b1 + e * b2) ** 2 / (2.0 * n + 1.0 + s) ** 2
+
+    grid = np.linspace(lo, hi, points) if lo < hi else np.empty(0)
+    values = f(grid)
+    i = np.nonzero((values[:-1] <= 0.0) != (values[1:] <= 0.0))[0]
+    a, b, f_a = grid[i], grid[i + 1], values[i]
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        f_mid = f(mid)
+        left = (f_mid <= 0.0) == (f_a <= 0.0)
+        a, b, f_a = np.where(left, mid, a), np.where(left, b, mid), np.where(left, f_mid, f_a)
+    return (0.5 * (a + b)).tolist(), (hi - lo) / (points - 1)
+
+
+def test_levels_match_an_independent_dense_scan():
+    rng = random.Random(20261018)
+    checked = 0
+    for _ in range(150):
+        params = PotentialParams(
+            m=rng.uniform(0.5, 2.0), a1=rng.uniform(0.0, 2.0),
+            b1=rng.uniform(-1.5, 1.5), a2=rng.uniform(-2.0, 2.0),
+            b2=rng.uniform(-1.5, 1.5),
+        )
+        for n in range(3):
+            reference, cell = _dense_scan_roots(params, n)
+            if any(b - a < 10.0 * cell for a, b in zip(reference, reference[1:])):
+                continue  # a near-tangent pair: the grid cannot resolve it
+            energies = [lvl.energy for lvl in solve_levels(params, n)]
+            assert len(energies) == len(reference), (params, n)
+            for got, want in zip(energies, reference):
+                assert abs(got - want) < 1e-12 * params.m, (params, n)
+            checked += len(reference)
+    assert checked > 300
