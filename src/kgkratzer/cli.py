@@ -40,6 +40,7 @@ from .spectrum import (
     approx_energy,
     classify_branch,
     closed_form,
+    select_level,
     solve_levels,
     solve_spectrum,
     spectrum_residual,
@@ -240,15 +241,6 @@ def _parse_method(raw: str):
     )
 
 
-def _select_level(levels, branch):
-    matching = [lvl for lvl in levels if lvl.branch == branch]
-    if not matching:
-        return None
-    if branch == "particle":
-        return max(matching, key=lambda lvl: lvl.energy)
-    return min(matching, key=lambda lvl: lvl.energy)
-
-
 def _cmd_energy(ns, config, diag) -> int:
     params = _params_from(ns, config)
     n = _resolve(ns, config, "n", cast=int)
@@ -265,7 +257,7 @@ def _cmd_energy(ns, config, diag) -> int:
 
     record: dict = {"n": n}
     if method == "implicit":
-        level = _select_level(solve_levels(params, n), branch)
+        level = select_level(solve_levels(params, n), branch)
         if level is None:
             raise NoBoundStateError(f"no {branch} root of the spectrum equation at n={n}")
         record.update(_level_dict(level))
@@ -348,7 +340,7 @@ def _cmd_wavefunction(ns, config, diag) -> int:
     _check_cap("points", points, MAX_POINTS)
 
     if raw_e == "auto":
-        level = _select_level(solve_levels(params, n), "particle")
+        level = select_level(solve_levels(params, n), "particle")
         if level is None:
             raise NoBoundStateError(f"no particle root found at n={n} to seed --e auto")
         energy = level.energy

@@ -26,4 +26,4 @@ class ConvergenceError(KratzerError, RuntimeError):
 
 
 class QuadratureError(ConvergenceError):
-    """Adaptive quadrature failed its successive-refinement check."""
+    """Quadrature failed its refinement check or left the float range."""

@@ -36,7 +36,7 @@ from ._radial import STATUS_OK, sweep, u_eval
 from ._search import bracketed_search
 from .errors import ConvergenceError, DomainError, FallToCenterError, NoBoundStateError
 from .model import PotentialParams
-from .spectrum import EnergyLevel, SolverConfig, solve_levels
+from .spectrum import EnergyLevel, SolverConfig, select_level, solve_levels
 
 __all__ = [
     "GridConfig",
@@ -380,13 +380,11 @@ def deviation_report(
     """
     grid = grid or GridConfig()
     try:
-        levels = [lvl for lvl in solve_levels(params, n, config) if lvl.branch == branch]
+        level = select_level(solve_levels(params, n, config), branch)
     except (DomainError, ConvergenceError) as exc:
         raise type(exc)(f"analytic: {exc}") from exc
-    if not levels:
+    if level is None:
         raise NoBoundStateError(f"analytic: no {branch} level exists at n={n}")
-    level = max(levels, key=lambda lvl: lvl.energy) if branch == "particle" \
-        else min(levels, key=lambda lvl: lvl.energy)
     e_analytic = level.energy
 
     m = params.m

@@ -239,6 +239,16 @@ def classify_branch(params: PotentialParams, energy: float) -> str:
     return PARTICLE if coulomb_strength(params, energy) > 0.0 else ANTIPARTICLE
 
 
+def select_level(levels, branch: str) -> EnergyLevel | None:
+    """The level of ``branch`` reported for one n: the highest particle level
+    or the lowest antiparticle level; None when ``branch`` has no level."""
+    matching = [lvl for lvl in levels if lvl.branch == branch]
+    if not matching:
+        return None
+    pick = max if branch == PARTICLE else min
+    return pick(matching, key=lambda lvl: lvl.energy)
+
+
 def solve_levels(
     params: PotentialParams, n: int, config: SolverConfig | None = None
 ) -> list[EnergyLevel]:

@@ -31,6 +31,7 @@ entering them at each radius, so the reported numbers are scale-free.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, QuadratureError
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -224,14 +226,12 @@ def residual_report(params: PotentialParams, energy: float, sample_radii) -> Res
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Adaptive-Simpson settings for the normalization integral."""
+    """Relative accuracy target of the trapezoid rule that normalizes psi^2."""
 
     rel_tolerance: float = 1e-10
-    max_depth: int = 60
-    tail_exponent: float = 120.0
 
     def __post_init__(self):
-        if self.rel_tolerance <= 0 or self.max_depth < 4 or self.tail_exponent < 40:
+        if not self.rel_tolerance > 0:
             raise ValueError("invalid quadrature configuration")
 
 
@@ -252,40 +252,8 @@ class NormalizationResult:
     evaluations: int
 
 
-def _adaptive_simpson(f, lo, hi, tol, max_depth):
-    """Adaptive Simpson with Richardson acceptance |S2 - S1|/15 <= tol_local."""
-    evals = [0]
-
-    def g(x):
-        evals[0] += 1
-        return f(x)
-
-    def recurse(x0, x2, f0, f1, f2, whole, tol_local, depth):
-        x1l = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + x1l)
-        xr = 0.5 * (x1l + x2)
-        fl, fr = g(xl), g(xr)
-        h = x2 - x0
-        left = h / 12.0 * (f0 + 4.0 * fl + f1)
-        right = h / 12.0 * (f1 + 4.0 * fr + f2)
-        delta = left + right - whole
-        # Safety factor 10 on the Richardson criterion so the summed true
-        # error stays below the requested tolerance, not just near it.
-        if abs(delta) <= 1.5 * tol_local or depth >= max_depth:
-            if depth >= max_depth and abs(delta) > 1.5 * tol_local:
-                raise QuadratureError(
-                    f"adaptive quadrature stalled on [{x0}, {x2}]: "
-                    f"refinement delta {delta} above tolerance {tol_local}"
-                )
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        vl, el = recurse(x0, x1l, f0, fl, f1, left, 0.5 * tol_local, depth + 1)
-        vr, er = recurse(x1l, x2, f1, fr, f2, right, 0.5 * tol_local, depth + 1)
-        return vl + vr, el + er
-
-    f0, f1, f2 = g(lo), g(0.5 * (lo + hi)), g(hi)
-    whole = (hi - lo) / 6.0 * (f0 + 4.0 * f1 + f2)
-    value, err = recurse(lo, hi, f0, f1, f2, whole, tol, 0)
-    return value, err, evals[0]
+_TAIL_DROP = 40.0    # each tail stops where exp(g) has fallen below e^-40 of its peak
+_MAX_HALVINGS = 10
 
 
 def normalization(
@@ -295,10 +263,16 @@ def normalization(
 ) -> NormalizationResult:
     """Integral of psi^2 over (0, inf) and the constant N = 1/sqrt(integral).
 
-    The integration domain is split at the peak of psi^2 so the adaptive rule
-    never straddles the essential singularity of exp(-2a/r), and truncated
-    where the integrand has decayed by ``tail_exponent`` e-folds relative to
-    the peak.
+    With r = e^t the integrand is exp(g(t)), g(t) = (2c+3)*t - 2a*e^(-t) -
+    (k/(c+1))*e^t, which is concave and decays double-exponentially (only
+    linearly on the left when a = 0), so the plain trapezoid rule converges
+    exponentially.  The grid is centred on the peak t* of g with the step
+    h = 0.5/sqrt(-g''(t*)); each side is summed outward until g has fallen by
+    40 below g(t*).  h is halved, reusing every point, until two successive
+    sums agree to ``rel_tolerance``; ``error_estimate`` is their difference
+    plus a bound on the rounding of g.  The sums carry exp(g - g(t*)), and
+    exp(g(t*)) is applied once at the end.  An integral outside the float
+    range raises ``QuadratureError``.
     """
     cfg = quad_config or QuadratureConfig()
     coeffs = _coefficients_or_raise(params, energy)
@@ -309,47 +283,70 @@ def normalization(
             f"(got c={c}, k={k}, a={a})"
         )
 
-    slope = k / (c + 1.0)           # outer decay rate of psi^2
-    power = 2.0 * c + 2.0
+    nu, beta, gamma = 2.0 * c + 3.0, 2.0 * a, k / (c + 1.0)
+    evaluations = 0
 
-    def integrand(r):
-        if r <= 0.0:
-            return 0.0
-        log_val = power * math.log(r) - 2.0 * a / r - slope * r
-        return math.exp(log_val) if log_val > -745.0 else 0.0
+    def g(t):
+        nonlocal evaluations
+        evaluations += 1
+        return nu * t - beta * math.exp(-t) - gamma * math.exp(t)
 
-    # Peak of psi^2: positive root of (slope/2)*r^2 - (c+1)*r - a = 0.
-    half = c + 1.0
-    r_peak = (half + math.sqrt(half * half + 2.0 * a * slope)) / slope
-    log_peak = power * math.log(r_peak) - 2.0 * a / r_peak - slope * r_peak
+    # Peak of g: x* = e^(t*) is the positive root of gamma*x^2 - nu*x - beta = 0.
+    x_peak = (nu + math.sqrt(nu * nu + 4.0 * beta * gamma)) / (2.0 * gamma)
+    t_peak = math.log(x_peak)
+    g_peak = g(t_peak)
 
-    if a > 0.0:
-        r_lo = a / (0.5 * cfg.tail_exponent)
-        while power * math.log(r_lo) - 2.0 * a / r_lo > log_peak - cfg.tail_exponent:
-            r_lo *= 0.5
+    def tail(offset, step):
+        """Sum of exp(g - g_peak) at t_peak + offset + j*step, j = 0, 1, ..."""
+        total, t = 0.0, t_peak + offset
+        while (drop := g(t) - g_peak) >= -_TAIL_DROP:
+            total += math.exp(drop)
+            t += step
+        return total
+
+    h = 0.5 / math.sqrt(beta / x_peak + gamma * x_peak)
+    total = 1.0 + tail(h, h) + tail(-h, -h)
+    coarse = h * total
+    for _ in range(_MAX_HALVINGS):
+        total += tail(0.5 * h, h) + tail(-0.5 * h, -h)
+        h *= 0.5
+        fine = h * total
+        if abs(fine - coarse) <= cfg.rel_tolerance * fine:
+            break
+        coarse = fine
     else:
-        r_lo = 0.0
-    r_hi = r_peak + (cfg.tail_exponent + power * max(1.0, math.log1p(r_peak))) / slope
-    while integrand(r_hi) > math.exp(log_peak - cfg.tail_exponent):
-        r_hi *= 1.5
+        raise QuadratureError(
+            f"trapezoid rule did not reach rel_tolerance {cfg.rel_tolerance} "
+            f"in {_MAX_HALVINGS} halvings"
+        )
 
-    coarse = integrand(r_peak) * (r_hi - r_lo)  # scale for the absolute tolerance
-    tol = cfg.rel_tolerance * coarse
-    left, err_l, n_l = _adaptive_simpson(integrand, r_lo, r_peak, 0.5 * tol, cfg.max_depth)
-    right, err_r, n_r = _adaptive_simpson(integrand, r_peak, r_hi, 0.5 * tol, cfg.max_depth)
-    total = left + right
-    if total <= 0.0:
-        raise QuadratureError("normalization integral evaluated to a nonpositive value")
+    try:
+        integral = math.exp(g_peak) * fine
+    except OverflowError:
+        integral = math.inf
+    if not 0.0 < integral < math.inf:
+        raise QuadratureError(
+            f"psi^2 integral {'overflows' if g_peak > 0.0 else 'underflows'} the "
+            f"float range: exp({g_peak}) * {fine}"
+        )
 
     closed = None
     if a == 0.0:
-        closed = math.gamma(2.0 * c + 3.0) * ((c + 1.0) / k) ** (2.0 * c + 3.0)
+        try:
+            closed = math.gamma(nu) * ((c + 1.0) / k) ** nu
+        except OverflowError:  # a factor leaves the float range, the product need not
+            closed = math.exp(math.lgamma(nu) + nu * math.log((c + 1.0) / k))
 
+    # Converged sums differ by rounding alone, so the estimate also carries
+    # the rounding of g, whose terms at the peak add up to the sum below.
+    rounding = 4.0 * _EPS * (abs(nu * t_peak) + beta / x_peak + gamma * x_peak)
+    # Peak of psi^2 in r: positive root of (gamma/2)*r^2 - (c+1)*r - a = 0.
+    half = c + 1.0
     return NormalizationResult(
-        integral=total,
-        norm_constant=1.0 / math.sqrt(total),
-        error_estimate=err_l + err_r,
+        integral=integral,
+        norm_constant=1.0 / math.sqrt(integral),
+        error_estimate=integral * (abs(fine - coarse) / fine + rounding),
         closed_form_integral=closed,
-        peak_radius=r_peak,
-        evaluations=n_l + n_r,
+        peak_radius=(half + math.sqrt(half * half + 2.0 * a * gamma)) / gamma,
+        evaluations=evaluations,
     )

@@ -131,6 +131,19 @@ def test_wavefunction_no_level_exit_3():
     assert result.returncode == 3
 
 
+def test_wavefunction_normalize_overflow_exit_4():
+    # c is about 99.5, so the psi^2 integral exceeds the float range.
+    result = run_cli(
+        "wavefunction", "--m", "1", "--a1", "5000", "--b1", "0.5", "--e", "0.5",
+        "--rmin", "1", "--rmax", "2", "--points", "2", "--normalize",
+    )
+    assert result.returncode == 4
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("ERROR: ") and "overflows" in lines[0]
+
+
 def test_scan_csv_rows():
     result = run_cli(
         "scan", "--m", "1", "--b2", "0.5", "--param", "b1",

@@ -5,6 +5,7 @@ import pytest
 
 from kgkratzer import (
     DomainError,
+    QuadratureError,
     PotentialParams,
     QuadratureConfig,
     eval_ground_state,
@@ -12,6 +13,7 @@ from kgkratzer import (
     residual_report,
     solve_levels,
 )
+from kgkratzer.model import derived_coefficients
 from kgkratzer.wavefunction import chi_peak_radius, mismatch_coefficients
 
 COULOMB = PotentialParams(m=1.0, b1=1.0)            # a=0, c=0, k=2 at E=1
@@ -152,3 +154,80 @@ def test_normalization_splits_at_peak():
 def test_normalization_rejects_non_integrable():
     with pytest.raises(DomainError):
         normalization(PotentialParams(m=1.0, b1=-0.5), 0.0)  # k < 0
+
+
+# Bessel value 2(beta/gamma)^(nu/2) K_nu(2 sqrt(beta*gamma)) of a set on which
+# the earlier adaptive Simpson rule missed by 2.2e-7 relative.
+BESSEL_CASE = PotentialParams(
+    m=0.9415216457855116, a1=0.8418166068247241, b1=0.5029485689992929,
+    a2=-0.2340218996713619, b2=-0.36454224083941067,
+)
+BESSEL_ENERGY = 0.9382683753165322
+BESSEL_INTEGRAL = 29340.45532668562
+
+
+def test_normalization_matches_the_bessel_form():
+    result = normalization(BESSEL_CASE, BESSEL_ENERGY)
+    assert result.closed_form_integral is None
+    assert abs(result.integral - BESSEL_INTEGRAL) <= 1e-12 * BESSEL_INTEGRAL
+
+
+@pytest.mark.parametrize("params, energy, exact", [
+    (BESSEL_CASE, BESSEL_ENERGY, BESSEL_INTEGRAL),
+    (COULOMB, 1.0, 0.25),
+    (PotentialParams(m=1.0, a1=0.5, b1=0.5, a2=0.5, b2=0.5), 1.0, 24.0),
+])
+def test_normalization_error_estimate_is_honest_and_cheap(params, energy, exact):
+    result = normalization(params, energy)
+    assert result.error_estimate >= abs(result.integral - exact)
+    assert result.error_estimate <= 1e-10 * result.integral
+    assert result.evaluations <= 200
+
+
+def test_quadrature_config_has_only_a_tolerance():
+    assert QuadratureConfig().rel_tolerance == 1e-10
+    for removed in ("max_depth", "tail_exponent"):
+        with pytest.raises(TypeError):
+            QuadratureConfig(**{removed: 60})
+    with pytest.raises(ValueError):
+        QuadratureConfig(rel_tolerance=0.0)
+
+
+def test_normalization_out_of_float_range_raises():
+    # c is about 99.5 at E = 0.5: the integral exceeds the largest float.
+    with pytest.raises(QuadratureError, match="overflows"):
+        normalization(PotentialParams(m=1.0, a1=5000.0, b1=0.5), 0.5)
+
+
+def test_normalization_gamma_form_beyond_the_gamma_function_range():
+    # Gamma(2c+3) alone overflows at c = 90, the normalization integral does not.
+    params = PotentialParams(m=1.0, a1=4095.0, b1=5000.0, a2=4095.0, b2=5000.0)
+    result = normalization(params, 0.0)  # a = 0, c = 90, k = 1e4
+    assert result.closed_form_integral is not None
+    assert abs(result.integral - result.closed_form_integral) <= result.error_estimate
+
+
+def test_normalization_matches_the_gamma_form_on_drawn_sets():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        m=st.floats(0.1, 10.0),
+        a1=st.floats(1e-3, 10.0),
+        sign=st.sampled_from((1.0, -1.0)),
+        b1=st.floats(-5.0, 5.0),
+        b2=st.floats(-5.0, 5.0),
+        fraction=st.floats(-1.0, 1.0),
+    )
+    def check(m, a1, sign, b1, b2, fraction):
+        # a1 = +-a2 != 0 gives a = 0 with c > 0, where the Gamma form is exact.
+        params = PotentialParams(m=m, a1=a1, b1=b1, a2=sign * a1, b2=b2)
+        energy = fraction * m
+        hypothesis.assume(derived_coefficients(params, energy).k > 1e-3)
+        result = normalization(params, energy)
+        gap = abs(result.integral - result.closed_form_integral)
+        assert gap <= 1e-12 * result.closed_form_integral
+        assert result.error_estimate >= gap
+
+    check()
