@@ -28,7 +28,7 @@ finder on Delta - n converges to it without a scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,20 +54,21 @@ _TINY = 1e-300
 class GridConfig:
     """Discretization rules for the shooting integrations.
 
-    steps caps the step at h_max = (r_max - r_min)/steps.  The default cap is
-    loose, so the adaptive controller sets the step count from the
-    ``integrator_tolerance`` local error; a larger ``steps`` forces finer
-    steps than the tolerance needs.  The origin radius is chosen so the
-    decaying origin factor contributes ``origin_exponent`` e-folds; the outer
-    radius covers ``tail_lengths`` decay lengths 1/kappa and ``peak_factor``
-    times the turning-region scale.
+    The adaptive controller sets every step from the ``integrator_tolerance``
+    local error; no sweep caps its step below its own span.  ``steps`` only
+    sets the step budget of each sweep, 200*steps accepted steps.  The
+    origin radius is chosen so the decaying origin factor contributes
+    ``origin_exponent`` e-folds; the outer radius covers ``tail_lengths``
+    decay lengths 1/kappa and ``peak_factor`` times the turning-region scale.
+    The inward sweep starts there from the asymptotic series of the decaying
+    solution, accurate enough that 12 decay lengths suffice.
     """
 
     steps: int = 1000
     integrator_tolerance: float = 1e-10
     origin_exponent: float = 30.0
-    tail_lengths: float = 50.0
-    peak_factor: float = 10.0
+    tail_lengths: float = 12.0
+    peak_factor: float = 3.0
     defect_tolerance: float = 1e-5
 
     def __post_init__(self):
@@ -135,7 +136,6 @@ class _Domain:
     r_min: float
     r_match: float
     r_max: float
-    h_max: float
     max_steps: int
     e_reference: float = field(default=0.0)
 
@@ -157,8 +157,34 @@ def _outward_seed(params: PotentialParams, energy: float, r_min: float):
     return 1.0, log_deriv
 
 
+def _tail_log_deriv(kappa, q1, q2, q3, q4, r):
+    """psi'/psi at r of the solution that decays at infinity.
+
+    Sums the asymptotic normal series psi ~ e^(-kappa r) r^sigma sum_j c_j r^-j
+    with sigma = -q1/(2 kappa), c_0 = 1 and
+    2 kappa J c_J = [q2 - (sigma-J+1)(sigma-J)] c_(J-1) + q3 c_(J-2) + q4 c_(J-3)
+    (substitute the series into psi'' = U psi; DLMF 13.19 for q3 = q4 = 0).
+    The series diverges, so the sum stops before its first term that does
+    not shrink.  The terms t_j = c_j r^-j are recurred directly.
+    """
+    sigma = -q1 / (2.0 * kappa)
+    t1, t2, t3 = 1.0, 0.0, 0.0  # t_(J-1), t_(J-2), t_(J-3)
+    total, r_slope = 1.0, 0.0   # sum of t_j, and r times its derivative
+    j = 1
+    while True:
+        t = ((q2 - (sigma - j + 1.0) * (sigma - j)) * t1
+             + (q3 * t2 + q4 * t3 / r) / r) / (2.0 * kappa * j * r)
+        if abs(t) >= abs(t1):
+            break
+        total += t
+        r_slope -= j * t
+        t1, t2, t3 = t, t1, t2
+        j += 1
+    return -kappa + (sigma + r_slope / total) / r
+
+
 def _domain(params: PotentialParams, energy: float, grid: GridConfig) -> _Domain:
-    """Fix the integration geometry (radii and step cap) at one reference E."""
+    """Fix the integration geometry (radii and step budget) at one reference E."""
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
     if kappa2 <= 0.0:
         raise DomainError(f"shooting needs E^2 < m^2, got E={energy}, m={params.m}")
@@ -199,12 +225,10 @@ def _domain(params: PotentialParams, energy: float, grid: GridConfig) -> _Domain
         r_match = radii[min(range(len(radii)), key=u_vals.__getitem__)]
     r_match = min(max(r_match, 4.0 * r_min), 0.25 * r_max)
 
-    h_max = (r_max - r_min) / grid.steps
     return _Domain(
         r_min=r_min,
         r_match=r_match,
         r_max=r_max,
-        h_max=h_max,
         max_steps=200 * grid.steps,
         e_reference=energy,
     )
@@ -224,23 +248,23 @@ def _defect_on_domain(params, energy, grid: GridConfig, dom: _Domain):
         raise DomainError(f"shooting needs E^2 < m^2, got E={energy}")
     kappa = math.sqrt(kappa2)
 
+    # Each sweep may step across its whole span: the error controller alone
+    # sets the step.
     y0, log_deriv = _outward_seed(params, energy, dom.r_min)
     y_out, dy_out, nodes_out, status_out, _ = sweep(
         kappa2, q1, q2, q3, q4,
         dom.r_min, dom.r_match, y0, log_deriv * y0,
-        dom.h_max, grid.integrator_tolerance, dom.max_steps,
+        dom.r_match - dom.r_min, grid.integrator_tolerance, dom.max_steps,
     )
     if status_out != STATUS_OK:
         raise ConvergenceError(
             f"outward integration failed (status {status_out}) at E={energy}"
         )
 
-    sigma = -q1 / (2.0 * kappa)
-    tail_log_deriv = -kappa + sigma / dom.r_max
     y_in, dy_in, nodes_in, status_in, _ = sweep(
         kappa2, q1, q2, q3, q4,
-        dom.r_max, dom.r_match, 1.0, tail_log_deriv,
-        dom.h_max, grid.integrator_tolerance, dom.max_steps,
+        dom.r_max, dom.r_match, 1.0, _tail_log_deriv(kappa, q1, q2, q3, q4, dom.r_max),
+        dom.r_max - dom.r_match, grid.integrator_tolerance, dom.max_steps,
     )
     if status_in != STATUS_OK:
         raise ConvergenceError(
@@ -299,6 +323,52 @@ def _subcritical_bracket(params: PotentialParams, lo: float, hi: float):
 _MAX_REFINEMENTS = 200
 
 
+def _clip(params: PotentialParams, bracket: tuple[float, float]) -> tuple[float, float]:
+    """Clip a bracket to (-m, m) less 1e-9*m and to subcritical energies."""
+    m = params.m
+    lo = max(min(bracket), -m + 1e-9 * m)
+    hi = min(max(bracket), m - 1e-9 * m)
+    if not lo < hi:
+        raise DomainError(f"bracket {bracket} does not intersect (-m, m)")
+    return _subcritical_bracket(params, lo, hi)
+
+
+def _excess(params: PotentialParams, n: int, grid: GridConfig, dom: _Domain):
+    """Delta(E) - n on the fixed geometry dom."""
+    def excess(e: float) -> float:
+        return _defect_on_domain(params, e, grid, dom)[2] - n
+    return excess
+
+
+def _converge(params, n, grid, dom, excess, a, b, g_a, g_b, first, evaluations):
+    """Narrow the sign change of excess on [a, b] to 1e-8*m, starting at
+    ``first``, and check the node count of the level found.
+
+    ``evaluations`` counts the defect evaluations already spent on the
+    search; the result reports them together with the trials and the node
+    check.
+    """
+    a, b, g_a, g_b, trials = bracketed_search(
+        excess, a, b, g_a, g_b, first, 1e-8 * params.m, _MAX_REFINEMENTS)
+
+    # Across the final bracket Delta is linear to far below its width.
+    e_star = a if a == b else a - g_a * (b - a) / (g_b - g_a)
+    defect_star, nodes_star, _ = _defect_on_domain(params, e_star, grid, dom)
+    if nodes_star != n:
+        raise ConvergenceError(
+            f"Pruefer mismatch matched n={n} at E={e_star}, "
+            f"but the solution there has {nodes_star} nodes"
+        )
+    return ShootingResult(
+        energy=e_star,
+        node_count=nodes_star,
+        match_defect=defect_star,
+        bracket=(a, b),
+        grid=grid,
+        defect_evaluations=evaluations + trials + 1,
+    )
+
+
 def kg_eigensolve(
     params: PotentialParams,
     n: int,
@@ -321,46 +391,20 @@ def kg_eigensolve(
     if n < 0 or int(n) != n:
         raise DomainError(f"node count target must be a nonnegative integer, got {n!r}")
     n = int(n)
-    m = params.m
-    lo = max(min(bracket), -m + 1e-9 * m)
-    hi = min(max(bracket), m - 1e-9 * m)
-    if not lo < hi:
-        raise DomainError(f"bracket {bracket} does not intersect (-m, m)")
-    lo, hi = _subcritical_bracket(params, lo, hi)
+    lo, hi = _clip(params, bracket)
 
     # Fixed radii keep the mismatch continuous in E across the bracket.
     dom = _domain(params, 0.5 * (lo + hi), grid)
-
-    def excess(e: float) -> float:
-        return _defect_on_domain(params, e, grid, dom)[2] - n
+    excess = _excess(params, n, grid, dom)
 
     # Delta rises with E where E > V_V and falls where E < V_V (the
     # antiparticle side), so only the sign change is used, not its direction.
     g_a, g_b = excess(lo), excess(hi)
     if g_a * g_b > 0.0:
         return None
-    tol_e = 1e-8 * m
     # Callers centre the bracket on their estimate of the level, so the
     # midpoint is the first interior trial.
-    a, b, g_a, g_b, trials = bracketed_search(
-        excess, lo, hi, g_a, g_b, 0.5 * (lo + hi), tol_e, _MAX_REFINEMENTS)
-
-    # Across the final bracket Delta is linear to far below its width.
-    e_star = a if a == b else a - g_a * (b - a) / (g_b - g_a)
-    defect_star, nodes_star, _ = _defect_on_domain(params, e_star, grid, dom)
-    if nodes_star != n:
-        raise ConvergenceError(
-            f"Pruefer mismatch matched n={n} at E={e_star}, "
-            f"but the solution there has {nodes_star} nodes"
-        )
-    return ShootingResult(
-        energy=e_star,
-        node_count=nodes_star,
-        match_defect=defect_star,
-        bracket=(a, b),
-        grid=grid,
-        defect_evaluations=trials + 3,  # the two ends and the node check
-    )
+    return _converge(params, n, grid, dom, excess, lo, hi, g_a, g_b, 0.5 * (lo + hi), 2)
 
 
 def deviation_report(
@@ -372,9 +416,12 @@ def deviation_report(
 ) -> DeviationReport:
     """Compare the implicit-equation level against the shooting eigenvalue.
 
-    The shooting search is seeded with a bracket around the closed-form value
-    and widened geometrically until the eigenvalue is captured; the defect
-    evaluations of every bracket tried are counted in the result.  Failures
+    The shooting search is seeded with the bracket E +- 0.4*(m - |E|) around
+    the closed-form value E and widened geometrically until the eigenvalue
+    is captured.  A widened bracket with the same centre keeps the geometry
+    and the end values of the empty bracket inside it, and searches only the
+    outer shell that holds the sign change; the defect evaluations of every
+    bracket tried are counted in the result.  Failures
     are labeled by their source ("analytic:" for the implicit solve,
     "oracle:" for the shooting solve).
     """
@@ -388,16 +435,36 @@ def deviation_report(
     e_analytic = level.energy
 
     m = params.m
-    width = max(0.4 * (m - abs(e_analytic)), 1e-3 * m)
+    width = 0.4 * (m - abs(e_analytic))
+    evaluations = 0
     result = None
-    empty_brackets = 0
+    empty = None  # (lo, hi, Delta - n at lo and hi) of an empty bracket on dom
     try:
         for _attempt in range(6):
-            bracket = (e_analytic - width, e_analytic + width)
-            result = kg_eigensolve(params, n, bracket, grid)
-            if result is not None:
+            centred = (e_analytic - width, e_analytic + width)
+            lo, hi = _clip(params, centred)
+            if empty is None or (lo, hi) != centred:
+                # A clipped bracket has its own centre, so its own geometry.
+                empty = None
+                dom = _domain(params, 0.5 * (lo + hi), grid)
+                excess = _excess(params, n, grid, dom)
+            g_lo, g_hi = excess(lo), excess(hi)
+            evaluations += 2
+            if g_lo * g_hi <= 0.0:
+                a, b, g_a, g_b = lo, hi, g_lo, g_hi
+                if empty is not None:
+                    # The inner bracket, on the same geometry, holds no sign
+                    # change, so the outer shell on one side holds it.
+                    in_lo, in_hi, g_in_lo, g_in_hi = empty
+                    if g_lo * g_in_lo <= 0.0:
+                        b, g_b = in_lo, g_in_lo
+                    else:
+                        a, g_a = in_hi, g_in_hi
+                result = _converge(params, n, grid, dom, excess,
+                                   a, b, g_a, g_b, 0.5 * (a + b), evaluations)
                 break
-            empty_brackets += 1
+            if (lo, hi) == centred:
+                empty = (lo, hi, g_lo, g_hi)
             width *= 2.0
             if width > 2.0 * m:
                 break
@@ -407,10 +474,6 @@ def deviation_report(
         raise NoBoundStateError(
             f"oracle: no {n}-node eigenvalue found near E={e_analytic}"
         )
-    # kg_eigensolve spends exactly two evaluations on a bracket it rejects.
-    result = replace(
-        result, defect_evaluations=result.defect_evaluations + 2 * empty_brackets
-    )
     return DeviationReport(
         n=n,
         branch=branch,

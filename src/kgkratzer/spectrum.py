@@ -191,7 +191,11 @@ def _roots(params, n, cfg: SolverConfig) -> list[tuple[float, float, int]]:
     Cuts at the midpoints between consecutive candidates, clipped to the
     window, split it into one cell per candidate.  A cell whose ends differ
     in sign holds one level, which the bracketed search narrows to machine
-    resolution starting from the candidate.
+    resolution starting from the candidate.  The level must leave |f| below
+    the root tolerance, widened by what the change of s across its narrowed
+    bracket alone can move f: at s = 0 the slope of s is infinite, so a
+    level there leaves |f| far above the tolerance however narrow the
+    bracket.
     """
     window = _window(params, cfg)
     if window is None:
@@ -205,6 +209,9 @@ def _roots(params, n, cfg: SolverConfig) -> list[tuple[float, float, int]]:
 
     def residual(energy: float) -> float:
         return float(_residual_array(params, n, np.asarray(energy)))
+
+    def s_of(energy: float) -> float:
+        return math.sqrt(max(1.0 + 8.0 * (params.m * params.a1 + energy * params.a2), 0.0))
 
     roots = []
     for i, candidate in enumerate(candidates.tolist()):
@@ -220,9 +227,12 @@ def _roots(params, n, cfg: SolverConfig) -> list[tuple[float, float, int]]:
             cfg.max_iterations,
         )
         best_f, best_e = min((abs(f_a), a), (abs(f_b), b))
-        if best_f >= cfg.root_tolerance:
+        # With k = 2*(m*b1 + E*b2) and N = 2n + 1, |df/ds| = 2k^2/(N + s)^3 <= 2k^2/N^3.
+        k = 2.0 * (params.m * params.b1 + best_e * params.b2)
+        s_share = 2.0 * k * k / (2.0 * n + 1.0) ** 3 * abs(s_of(b) - s_of(a))
+        if best_f >= cfg.root_tolerance + s_share:
             raise ConvergenceError(
-                f"level n={n} at E={best_e}: |f| = {best_f} is not below "
+                f"|f| = {best_f} at E={best_e} is not below "
                 f"the root tolerance {cfg.root_tolerance}"
             )
         roots.append((best_e, best_f, evaluations))

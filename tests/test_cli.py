@@ -265,3 +265,30 @@ def test_spectrum_warns_for_a_failed_level_and_exits_4(monkeypatch, capsys):
     assert code == 4
     assert err == "WARN: level n=1: no convergence\n"
     assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["0", "2"]
+
+
+def test_spectrum_level_on_the_radicand_zero():
+    # The n = 0 level sits where 1 + 8*(m*a1 + E*a2) = 0; f has an infinite
+    # slope there, so |f| stays above the root tolerance at any bracket.
+    result = run_cli(
+        "spectrum", "--m", "0.6803775192179047", "--a1", "-0.2650206959900866",
+        "--b1", "0.42607903102997047", "--a2", "0.22083695798305997",
+        "--b2", "0.10541048409726628", "--nmax", "0", "--format", "csv",
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    energies = [line.split(",")[2] for line in result.stdout.splitlines()[1:]]
+    assert energies[0] == "0.25047493945003846"
+
+
+def test_spectrum_tolerance_warning_names_the_level_once(monkeypatch, capsys):
+    from kgkratzer import cli, spectrum
+
+    config = spectrum.SolverConfig
+    monkeypatch.setattr(spectrum, "SolverConfig", lambda: config(root_tolerance=1e-30))
+    code = cli.main(["spectrum", "--m", "1", "--b1", "0.5", "--b2", "0.5",
+                     "--nmax", "0", "--format", "csv"])
+    _, err = capsys.readouterr()
+    assert code == 4
+    assert err.startswith("WARN: level n=0: |f| = ")
+    assert err.count("n=0") == 1

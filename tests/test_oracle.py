@@ -305,8 +305,8 @@ def test_flat_zero_of_the_mismatch_still_converges(monkeypatch):
 
 
 @pytest.mark.parametrize("params, bracket, energy, evaluations", [
-    (EQUAL, (0.55, 0.65), 0.5999999998694585, 5),
-    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197736547, 11),
+    (EQUAL, (0.55, 0.65), 0.5999999998709089, 5),
+    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197745667, 11),
 ])
 def test_eigensolve_trial_sequence_is_pinned(params, bracket, energy, evaluations):
     # Exact energies and evaluation counts of the midpoint-first Brent search;
@@ -314,3 +314,53 @@ def test_eigensolve_trial_sequence_is_pinned(params, bracket, energy, evaluation
     result = kg_eigensolve(params, 0, bracket)
     assert result.energy == energy
     assert result.defect_evaluations == evaluations
+
+
+@pytest.mark.parametrize("params, exact, tolerance", [
+    # The level's decay length is ten times the one at the paper's level.
+    (PotentialParams(m=1.0, b1=0.727767182755184, b2=-0.7182370103078528),
+     0.9999949958523797, 1e-9),
+    (PotentialParams(m=1.7257305155175258, b1=0.4297474872406787, b2=-0.42944526648642717),
+     1.725730506762042, 1e-8 * 1.7257305155175258),
+])
+def test_near_threshold_levels_on_the_coulomb_plane(params, exact, tolerance):
+    report = deviation_report(params, 2)
+    assert abs(report.oracle_energy - exact) < tolerance
+    assert report.shooting.node_count == 2
+
+
+def test_series_seeded_tail_keeps_sweeps_short(monkeypatch):
+    counts = _count_oracle_work(monkeypatch)
+    for n in range(3):
+        deviation_report(EQUAL_A, n)
+    assert counts["steps"] / counts["sweeps"] <= 400
+
+
+def test_tail_seed_is_the_log_derivative_of_the_decaying_solution():
+    # At an exact level of the equal manifold the series terminates: for
+    # (b1, b2) = (0.5, 0.5), n = 1, E = 15/17 and kappa = 8/17,
+    # psi = e^(-kappa r) (r^2 - r/kappa).
+    kappa2, q1, q2, q3, q4 = oracle.u_series(EQUAL, 15.0 / 17.0)
+    kappa = math.sqrt(kappa2)
+    for r in (10.0, 40.0):
+        exact = -kappa + (2.0 * r - 1.0 / kappa) / (r * r - r / kappa)
+        assert oracle._tail_log_deriv(kappa, q1, q2, q3, q4, r) == pytest.approx(exact, rel=1e-14)
+
+
+def test_widened_bracket_reuses_the_inner_ends(monkeypatch):
+    # (0.8, 0) at n = 0 needs the doubled bracket: its inner bracket's ends
+    # are known on the shared geometry and are not evaluated again.
+    energies = []
+    defect_on_domain = oracle._defect_on_domain
+
+    def recorded(params, energy, grid, dom):
+        energies.append(energy)
+        return defect_on_domain(params, energy, grid, dom)
+
+    monkeypatch.setattr(oracle, "_defect_on_domain", recorded)
+    report = deviation_report(PotentialParams(m=1.0, b1=0.8), 0)
+    assert report.oracle_energy == pytest.approx(coulomb_plane_exact(0.8, 0.0, 0), abs=1e-7)
+    assert len(energies) == len(set(energies))
+    assert report.shooting.defect_evaluations == len(energies)
+    # Four bracket ends, then only the outer shell above the inner bracket.
+    assert min(energies[4:]) > max(energies[:2])
