@@ -45,8 +45,8 @@ def bracketed_search(g, a, b, g_a, g_b, first, tol, max_steps):
     zero collapses the bracket onto it.  The first trial is ``first``, the
     caller's best estimate of the root; later trials come from _next_trial.
     A trial is made only while b - a > tol, and at most ``max_steps`` of
-    them: spending them all raises ConvergenceError, unless the last lands
-    on a zero of g.  Returns the final (a, b, g_a, g_b, evaluations of g).
+    them: a bracket still wider than tol after the last raises
+    ConvergenceError.  Returns the final (a, b, g_a, g_b, evaluations of g).
     """
     if g_a == 0.0:
         b, g_b = a, g_a
@@ -54,18 +54,20 @@ def bracketed_search(g, a, b, g_a, g_b, first, tol, max_steps):
         a, g_a = b, g_b
     xs, gs = [a, b], [g_a, g_b]
     e = first
-    for evaluations in range(max_steps):
-        if b - a <= tol:
-            return a, b, g_a, g_b, evaluations
+    evaluations = 0
+    while b - a > tol:
+        if evaluations == max_steps:
+            raise ConvergenceError(
+                f"sign change on [{a}, {b}] not narrowed to {tol} in {max_steps} steps"
+            )
         g_e = g(e)
+        evaluations += 1
         if g_e == 0.0:
-            return e, e, g_e, g_e, evaluations + 1
+            return e, e, g_e, g_e, evaluations
         if (g_e > 0.0) == (g_b > 0.0):
             b, g_b = e, g_e
         else:
             a, g_a = e, g_e
         xs, gs = xs[-2:] + [e], gs[-2:] + [g_e]
         e = _next_trial(xs, gs, a, b, tol)
-    raise ConvergenceError(
-        f"sign change on [{a}, {b}] not narrowed to {tol} in {max_steps} steps"
-    )
+    return a, b, g_a, g_b, evaluations

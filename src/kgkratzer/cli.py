@@ -5,8 +5,9 @@ Output contract:
   "diagnostics", "version"} with every float rendered as a decimal string of
   17 significant digits and keys emitted in sorted order, so identical
   requests produce byte-identical bytes.
-* CSV output is RFC-4180-style with a header row and carries exactly the same
-  numeric strings as the JSON encoding.
+* CSV output is the JSON result rows projected onto a header: RFC-4180-style,
+  one header row, and in each cell the row's JSON string for that column, or
+  an empty cell where the JSON holds null or has no such key.
 * Diagnostics go to stderr, one line each, prefixed WARN: or ERROR:.
 
 Exit codes: 0 success, 2 invalid parameters, 3 no bound state found,
@@ -24,6 +25,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .errors import (
@@ -133,20 +135,6 @@ def _require_real_a(params: PotentialParams):
         raise DomainError("a imaginary: a1^2 < a2^2")
 
 
-def _admissibility_dict(report) -> dict:
-    return {
-        "a_real": report.a_real,
-        "c_value": report.c_value,
-        "c_nonnegative": report.c_nonnegative,
-        "k_positive": report.k_positive,
-        "energy_subluminal": report.energy_subluminal,
-        "sqrt_domain_ok": report.sqrt_domain_ok,
-        "scalar_dominance": report.scalar_dominance,
-        "overall": report.overall,
-        "reasons": list(report.reasons),
-    }
-
-
 def _level_dict(level) -> dict:
     return {
         "n": level.n,
@@ -155,37 +143,44 @@ def _level_dict(level) -> dict:
         "method": level.method,
         "residual": level.residual,
         "iterations": level.iterations,
-        "admissibility": _admissibility_dict(level.admissibility),
+        "admissibility": asdict(level.admissibility),
     }
 
 
-def _emit(ns, document: dict, csv_rows, csv_header):
-    fmt = document["request"].get("format", "json")
-    if fmt == "csv":
+def _request(ns, config, subcommand, params, fmt=None, **options) -> dict:
+    """The request block: --format and --output resolved once, unset values dropped."""
+    request = {
+        "subcommand": subcommand,
+        "format": fmt or _resolve(ns, config, "format", default="json"),
+        "output": _resolve(ns, config, "output") or None,
+        "params": params,
+        **options,
+    }
+    return {key: value for key, value in request.items() if value is not None}
+
+
+def _emit(request: dict, results, diag, header=(), rows=()):
+    """Write the JSON document, or the rows projected onto the CSV header.
+
+    A CSV cell is the row's JSON string for its column; csv writes None, a
+    null or missing value, as an empty cell.
+    """
+    if request["format"] == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\r\n")
-        writer.writerow(csv_header)
-        for row in csv_rows:
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows([_stringify(row.get(key)) for key in header] for row in rows)
         payload = buffer.getvalue()
     else:
+        document = {"request": request, "results": results,
+                    "diagnostics": diag.lines, "version": __version__}
         payload = json.dumps(_stringify(document), indent=2, sort_keys=True) + "\n"
-    output = document["request"].get("output")
+    output = request.get("output")
     if output:
         with open(output, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
-
-
-def _base_request(subcommand, params, fmt, output, **options):
-    request = {"subcommand": subcommand, "format": fmt}
-    if output:
-        request["output"] = output
-    if params is not None:
-        request["params"] = {key: getattr(params, key) for key in _PARAM_KEYS}
-    request.update({k: v for k, v in options.items() if v is not None})
-    return request
 
 
 def _cmd_spectrum(ns, config, diag) -> int:
@@ -196,8 +191,6 @@ def _cmd_spectrum(ns, config, diag) -> int:
         raise DomainError("--nmax is required and must be >= 0")
     _check_cap("nmax", n_max, MAX_NMAX)
     branch = _resolve(ns, config, "branch", default="all")
-    fmt = _resolve(ns, config, "format", default="json")
-    output = _resolve(ns, config, "output")
 
     run = solve_spectrum(params, n_max)
     levels = run.levels()
@@ -206,18 +199,9 @@ def _cmd_spectrum(ns, config, diag) -> int:
     for n, message in run.failures:
         diag.warn(f"level n={n}: {message}")
 
-    document = {
-        "request": _base_request("spectrum", params, fmt, output,
-                                 nmax=n_max, branch=branch),
-        "results": {"levels": [_level_dict(lvl) for lvl in levels]},
-        "diagnostics": diag.lines,
-        "version": __version__,
-    }
-    rows = [
-        (lvl.n, lvl.branch, _fmt(lvl.energy), lvl.method, _fmt(lvl.residual))
-        for lvl in levels
-    ]
-    _emit(ns, document, rows, ("n", "branch", "E", "method", "residual"))
+    rows = [_level_dict(lvl) for lvl in levels]
+    _emit(_request(ns, config, "spectrum", asdict(params), nmax=n_max, branch=branch),
+          {"levels": rows}, diag, ("n", "branch", "E", "method", "residual"), rows)
     if run.failures:
         return 4
     if not levels:
@@ -249,8 +233,6 @@ def _cmd_energy(ns, config, diag) -> int:
     method_raw = _resolve(ns, config, "method", default="implicit")
     branch = _resolve(ns, config, "branch", default="particle")
     compare = _resolve(ns, config, "compare")
-    fmt = _resolve(ns, config, "format", default="json")
-    output = _resolve(ns, config, "output")
     method, case = _parse_method(method_raw)
     if method in ("implicit", "oracle") or compare == "oracle":
         _require_real_a(params)
@@ -274,7 +256,7 @@ def _cmd_energy(ns, config, diag) -> int:
         energy = max(chosen) if branch == "particle" else min(chosen)
         record.update({"branch": branch, "E": energy, "method": "closed_form",
                        "case": case,
-                       "admissibility": _admissibility_dict(admissibility(params, energy))})
+                       "admissibility": asdict(admissibility(params, energy))})
     elif method == "approx":
         energy = approx_energy(params, n, case)
         record.update({"branch": classify_branch(params, energy), "E": energy,
@@ -303,20 +285,10 @@ def _cmd_energy(ns, config, diag) -> int:
             record["E_oracle"] = report.oracle_energy
             record["deviation"] = abs(energy - report.oracle_energy)
 
-    document = {
-        "request": _base_request("energy", params, fmt, output, n=n,
-                                 method=method_raw, branch=branch, compare=compare),
-        "results": record,
-        "diagnostics": diag.lines,
-        "version": __version__,
-    }
-    header = ["n", "branch", "E", "method", "residual", "E_oracle", "deviation"]
-    row = [record.get("n"), record.get("branch"), _fmt(record["E"]),
-           record.get("method"),
-           _fmt(record["residual"]) if "residual" in record else "",
-           _fmt(record["E_oracle"]) if record.get("E_oracle") is not None else "",
-           _fmt(record["deviation"]) if record.get("deviation") is not None else ""]
-    _emit(ns, document, [row], header)
+    _emit(_request(ns, config, "energy", asdict(params), n=n, method=method_raw,
+                   branch=branch, compare=compare),
+          record, diag,
+          ("n", "branch", "E", "method", "residual", "E_oracle", "deviation"), [record])
     return 0
 
 
@@ -329,8 +301,6 @@ def _cmd_wavefunction(ns, config, diag) -> int:
     r_max = _resolve(ns, config, "rmax", cast=float)
     points = _resolve(ns, config, "points", default=101, cast=int)
     normalize = bool(_resolve(ns, config, "normalize", default=False))
-    fmt = _resolve(ns, config, "format", default="json")
-    output = _resolve(ns, config, "output")
     if r_min is None or r_max is None:
         raise DomainError("--rmin and --rmax are required")
     if not (0.0 < r_min < r_max):
@@ -347,12 +317,8 @@ def _cmd_wavefunction(ns, config, diag) -> int:
     else:
         energy = float(raw_e)
 
-    scale = 1.0
-    norm_constant = None
-    if normalize:
-        norm = normalization(params, energy)
-        scale = norm.norm_constant
-        norm_constant = norm.norm_constant
+    norm_constant = normalization(params, energy).norm_constant if normalize else None
+    scale = 1.0 if norm_constant is None else norm_constant
 
     step = (r_max - r_min) / (points - 1)
     rows = []
@@ -365,19 +331,9 @@ def _cmd_wavefunction(ns, config, diag) -> int:
     results = {"energy": energy, "rows": rows}
     if norm_constant is not None:
         results["norm_constant"] = norm_constant
-    document = {
-        "request": _base_request("wavefunction", params, fmt, output, e=raw_e, n=n,
-                                 rmin=r_min, rmax=r_max, points=points,
-                                 normalize=normalize or None),
-        "results": results,
-        "diagnostics": diag.lines,
-        "version": __version__,
-    }
-    csv_rows = [
-        tuple(_fmt(row[key]) for key in ("r", "chi", "phi", "psi", "W", "dW"))
-        for row in rows
-    ]
-    _emit(ns, document, csv_rows, ("r", "chi", "phi", "psi", "W", "dW"))
+    _emit(_request(ns, config, "wavefunction", asdict(params), e=raw_e, n=n,
+                   rmin=r_min, rmax=r_max, points=points, normalize=normalize or None),
+          results, diag, ("r", "chi", "phi", "psi", "W", "dW"), rows)
     return 0
 
 
@@ -387,20 +343,13 @@ def _cmd_verify(ns, config, diag) -> int:
         raise DomainError("--suite is required (residuals, manifolds or limits)")
     seed = _resolve(ns, config, "seed", default=0, cast=int)
     cases = _resolve(ns, config, "cases", default=200, cast=int)
-    output = _resolve(ns, config, "output")
     _check_cap("cases", cases, MAX_CASES)
     try:
         report = run_suite(suite, seed=seed, cases=cases)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
-    document = {
-        "request": _base_request("verify", None, "json", output,
-                                 suite=suite, seed=seed, cases=cases),
-        "results": report,
-        "diagnostics": diag.lines,
-        "version": __version__,
-    }
-    _emit(ns, document, [], ())
+    _emit(_request(ns, config, "verify", None, fmt="json",
+                   suite=suite, seed=seed, cases=cases), report, diag)
     return 0 if report["passed"] else 1
 
 
@@ -412,20 +361,16 @@ def _cmd_scan(ns, config, diag) -> int:
     stop = _resolve(ns, config, "to", cast=float)
     steps = _resolve(ns, config, "steps", cast=int)
     n = _resolve(ns, config, "n", default=0, cast=int)
-    fmt = _resolve(ns, config, "format", default="json")
-    output = _resolve(ns, config, "output")
     if start is None or stop is None or steps is None:
         raise DomainError("--from, --to and --steps are required")
     if steps < 1:
         raise DomainError("--steps must be >= 1")
     _check_cap("steps", steps, MAX_SCAN_STEPS)
     base = {key: _resolve(ns, config, key, cast=float) for key in _PARAM_KEYS}
-
     values = [start + (stop - start) * i / steps for i in range(steps + 1)]
 
     rows = []
-    skipped = 0
-    failed = 0
+    skipped = failed = 0
     for value in values:
         try:
             levels = solve_levels(_params_from(ns, config, **{name: value}), n)
@@ -442,21 +387,10 @@ def _cmd_scan(ns, config, diag) -> int:
                          "branch": lvl.branch, "E": lvl.energy,
                          "residual": lvl.residual})
 
-    request = _base_request("scan", None, fmt, output, param=name, n=n,
-                            **{"from": start, "to": stop, "steps": steps})
-    request["params"] = {k: v for k, v in base.items() if v is not None}
-    document = {
-        "request": request,
-        "results": {"rows": rows},
-        "diagnostics": diag.lines,
-        "version": __version__,
-    }
-    csv_rows = [
-        (row["param"], _fmt(row["value"]), row["n"], row["branch"],
-         _fmt(row["E"]), _fmt(row["residual"]))
-        for row in rows
-    ]
-    _emit(ns, document, csv_rows, ("param", "value", "n", "branch", "E", "residual"))
+    params = {key: value for key, value in base.items() if value is not None}
+    _emit(_request(ns, config, "scan", params, param=name, n=n,
+                   **{"from": start, "to": stop, "steps": steps}),
+          {"rows": rows}, diag, ("param", "value", "n", "branch", "E", "residual"), rows)
     if failed:
         return 4
     if skipped == len(values):

@@ -190,9 +190,10 @@ def admissibility(params: PotentialParams, energy: float) -> AdmissibilityReport
     """Evaluate every bound-state flag at (params, energy); total function.
 
     Verdicts: "admissible" needs a real, c > 0, k > 0, E^2 < m^2 and the
-    centrifugal radicand nonnegative; exact a = 0 or c = 0 (and the
-    square-integrable window -1/2 < c < 0) demote it to "boundary"; any hard
-    failure yields "inadmissible" with one reason per failed flag.
+    centrifugal radicand nonnegative; exact a = 0, c = 0 or c = -1/2 (the
+    radicand zero) and the square-integrable window -1/2 < c < 0 demote it
+    to "boundary"; any hard failure yields "inadmissible" with one reason
+    per failed flag.
     """
     coeffs = derived_coefficients(params, energy)
     reasons: list[str] = []
@@ -222,6 +223,9 @@ def admissibility(params: PotentialParams, energy: float) -> AdmissibilityReport
         if coeffs.c is not None and -0.5 < coeffs.c < 0.0:
             boundary = True
             reasons.append("c in (-1/2, 0): square-integrable boundary window")
+        if coeffs.c == -0.5:
+            boundary = True
+            reasons.append("c = -1/2 exactly")
         if coeffs.c == 0.0:
             boundary = True
             reasons.append("c = 0 exactly")

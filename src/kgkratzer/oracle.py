@@ -28,7 +28,7 @@ finder on Delta - n converges to it without a scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,13 +69,12 @@ class GridConfig:
     origin_exponent: float = 30.0
     tail_lengths: float = 12.0
     peak_factor: float = 3.0
-    defect_tolerance: float = 1e-5
 
     def __post_init__(self):
         if self.steps < 1000:
             raise ValueError("steps must be >= 1000")
-        if self.integrator_tolerance <= 0 or self.defect_tolerance <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.integrator_tolerance <= 0:
+            raise ValueError("integrator_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ class _Domain:
     r_match: float
     r_max: float
     max_steps: int
-    e_reference: float = field(default=0.0)
 
 
 def _outward_seed(params: PotentialParams, energy: float, r_min: float):
@@ -230,7 +228,6 @@ def _domain(params: PotentialParams, energy: float, grid: GridConfig) -> _Domain
         r_match=r_match,
         r_max=r_max,
         max_steps=200 * grid.steps,
-        e_reference=energy,
     )
 
 
@@ -333,23 +330,20 @@ def _clip(params: PotentialParams, bracket: tuple[float, float]) -> tuple[float,
     return _subcritical_bracket(params, lo, hi)
 
 
-def _excess(params: PotentialParams, n: int, grid: GridConfig, dom: _Domain):
-    """Delta(E) - n on the fixed geometry dom."""
-    def excess(e: float) -> float:
-        return _defect_on_domain(params, e, grid, dom)[2] - n
-    return excess
-
-
-def _converge(params, n, grid, dom, excess, a, b, g_a, g_b, first, evaluations):
-    """Narrow the sign change of excess on [a, b] to 1e-8*m, starting at
-    ``first``, and check the node count of the level found.
+def _converge(params, n, grid, dom, a, b, g_a, g_b, evaluations):
+    """Narrow the sign change of Delta - n on [a, b] to 1e-8*m, starting at
+    the midpoint (callers centre their brackets on their estimate of the
+    level), and check the node count of the level found.
 
     ``evaluations`` counts the defect evaluations already spent on the
     search; the result reports them together with the trials and the node
     check.
     """
+    def excess(e: float) -> float:
+        return _defect_on_domain(params, e, grid, dom)[2] - n
+
     a, b, g_a, g_b, trials = bracketed_search(
-        excess, a, b, g_a, g_b, first, 1e-8 * params.m, _MAX_REFINEMENTS)
+        excess, a, b, g_a, g_b, 0.5 * (a + b), 1e-8 * params.m, _MAX_REFINEMENTS)
 
     # Across the final bracket Delta is linear to far below its width.
     e_star = a if a == b else a - g_a * (b - a) / (g_b - g_a)
@@ -367,6 +361,45 @@ def _converge(params, n, grid, dom, excess, a, b, g_a, g_b, first, evaluations):
         grid=grid,
         defect_evaluations=evaluations + trials + 1,
     )
+
+
+def _search(params, n, grid, brackets) -> ShootingResult | None:
+    """The n-node level in the first of ``brackets`` that holds it, or None.
+
+    Each bracket is clipped to subcritical energies and gets the geometry of
+    its centre, which keeps the mismatch continuous in E across it.  Delta - n
+    is evaluated at both ends; a bracket without a sign change holds no n-node
+    level.  Delta rises with E where E > V_V and falls where E < V_V (the
+    antiparticle side), so only the sign change is used, not its direction.
+    A bracket with the same centre as the empty one before it keeps that
+    bracket's geometry and end values and searches only the outer shell that
+    holds the sign change.
+    """
+    evaluations = 0
+    empty = None  # (lo, hi, Delta - n at lo and hi) of an empty bracket on dom
+    for centred in brackets:
+        lo, hi = _clip(params, centred)
+        if empty is None or (lo, hi) != centred:
+            # A clipped bracket has its own centre, so its own geometry.
+            empty = None
+            dom = _domain(params, 0.5 * (lo + hi), grid)
+        g_lo = _defect_on_domain(params, lo, grid, dom)[2] - n
+        g_hi = _defect_on_domain(params, hi, grid, dom)[2] - n
+        evaluations += 2
+        if g_lo * g_hi <= 0.0:
+            a, b, g_a, g_b = lo, hi, g_lo, g_hi
+            if empty is not None:
+                # The inner bracket, on the same geometry, holds no sign
+                # change, so the outer shell on one side holds it.
+                in_lo, in_hi, g_in_lo, g_in_hi = empty
+                if g_lo * g_in_lo <= 0.0:
+                    b, g_b = in_lo, g_in_lo
+                else:
+                    a, g_a = in_hi, g_in_hi
+            return _converge(params, n, grid, dom, a, b, g_a, g_b, evaluations)
+        if (lo, hi) == centred:
+            empty = (lo, hi, g_lo, g_hi)
+    return None
 
 
 def kg_eigensolve(
@@ -390,21 +423,7 @@ def kg_eigensolve(
     grid = grid or GridConfig()
     if n < 0 or int(n) != n:
         raise DomainError(f"node count target must be a nonnegative integer, got {n!r}")
-    n = int(n)
-    lo, hi = _clip(params, bracket)
-
-    # Fixed radii keep the mismatch continuous in E across the bracket.
-    dom = _domain(params, 0.5 * (lo + hi), grid)
-    excess = _excess(params, n, grid, dom)
-
-    # Delta rises with E where E > V_V and falls where E < V_V (the
-    # antiparticle side), so only the sign change is used, not its direction.
-    g_a, g_b = excess(lo), excess(hi)
-    if g_a * g_b > 0.0:
-        return None
-    # Callers centre the bracket on their estimate of the level, so the
-    # midpoint is the first interior trial.
-    return _converge(params, n, grid, dom, excess, lo, hi, g_a, g_b, 0.5 * (lo + hi), 2)
+    return _search(params, int(n), grid, [bracket])
 
 
 def deviation_report(
@@ -434,40 +453,12 @@ def deviation_report(
         raise NoBoundStateError(f"analytic: no {branch} level exists at n={n}")
     e_analytic = level.energy
 
+    # Half-widths 0.4*(m - |E|)*2^i, at most six and none wider than 2m.
     m = params.m
-    width = 0.4 * (m - abs(e_analytic))
-    evaluations = 0
-    result = None
-    empty = None  # (lo, hi, Delta - n at lo and hi) of an empty bracket on dom
+    widths = (0.4 * (m - abs(e_analytic)) * 2.0 ** i for i in range(6))
+    brackets = [(e_analytic - w, e_analytic + w) for w in widths if w <= 2.0 * m]
     try:
-        for _attempt in range(6):
-            centred = (e_analytic - width, e_analytic + width)
-            lo, hi = _clip(params, centred)
-            if empty is None or (lo, hi) != centred:
-                # A clipped bracket has its own centre, so its own geometry.
-                empty = None
-                dom = _domain(params, 0.5 * (lo + hi), grid)
-                excess = _excess(params, n, grid, dom)
-            g_lo, g_hi = excess(lo), excess(hi)
-            evaluations += 2
-            if g_lo * g_hi <= 0.0:
-                a, b, g_a, g_b = lo, hi, g_lo, g_hi
-                if empty is not None:
-                    # The inner bracket, on the same geometry, holds no sign
-                    # change, so the outer shell on one side holds it.
-                    in_lo, in_hi, g_in_lo, g_in_hi = empty
-                    if g_lo * g_in_lo <= 0.0:
-                        b, g_b = in_lo, g_in_lo
-                    else:
-                        a, g_a = in_hi, g_in_hi
-                result = _converge(params, n, grid, dom, excess,
-                                   a, b, g_a, g_b, 0.5 * (a + b), evaluations)
-                break
-            if (lo, hi) == centred:
-                empty = (lo, hi, g_lo, g_hi)
-            width *= 2.0
-            if width > 2.0 * m:
-                break
+        result = _search(params, n, grid, brackets)
     except (DomainError, ConvergenceError) as exc:
         raise type(exc)(f"oracle: {exc}") from exc
     if result is None:

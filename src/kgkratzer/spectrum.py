@@ -19,7 +19,7 @@ cross-checked against the implicit roots.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -355,7 +355,6 @@ def closed_form(params: PotentialParams, n: int, case: str) -> ClosedFormResult:
         raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
     n = int(n)
     m, nu = params.m, float(n + 1)
-    notes: list[str] = []
 
     if case == "coulomb_general":
         _require(params.a1 == 0.0 and params.a2 == 0.0, case, "a1 = a2 = 0")
@@ -390,8 +389,7 @@ def closed_form(params: PotentialParams, n: int, case: str) -> ClosedFormResult:
         _require(params.a1 == 0.0, case, "a1 = 0 for the closed form")
         raw = [-m * (nu ** 2 - params.b1 ** 2) / (nu ** 2 + params.b1 ** 2)]
 
-    result = _window_filter(case, raw, m)
-    return replace(result, notes=result.notes + tuple(notes))
+    return _window_filter(case, raw, m)
 
 
 def approx_energy(params: PotentialParams, n: int, case: str) -> float:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -170,13 +172,36 @@ def test_config_file_with_flag_override(tmp_path):
     assert abs(float(row.split(",")[2]) - 0.9801980198019802) < 1e-9
 
 
-def test_json_and_csv_carry_identical_numbers(tmp_path):
-    args = ("spectrum", "--m", "1", "--b1", "0.6", "--b2", "0.8", "--nmax", "0")
-    as_json = json.loads(run_cli(*args).stdout)
-    csv_out = run_cli(*args, "--format", "csv").stdout.strip().splitlines()
-    json_energies = [lvl["E"] for lvl in as_json["results"]["levels"]]
-    csv_energies = [line.split(",")[2] for line in csv_out[1:]]
-    assert json_energies == csv_energies
+@pytest.mark.parametrize("args, rows_key, nulls", [
+    pytest.param(("spectrum", "--m", "1", "--b1", "0.6", "--b2", "0.8", "--nmax", "0"),
+                 "levels", (), id="spectrum"),
+    pytest.param(("energy", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--n", "1",
+                  "--compare", "oracle"), None, (), id="energy-oracle"),
+    # A supercritical origin: the oracle fields are null in JSON.
+    pytest.param(("energy", "--m", "1", "--b1", "0.6", "--b2", "0.8", "--n", "0",
+                  "--compare", "oracle"), None, ("E_oracle", "deviation"),
+                 id="energy-oracle-supercritical"),
+    pytest.param(("wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--rmin", "0.1",
+                  "--rmax", "20", "--points", "7", "--normalize"), "rows", (),
+                 id="wavefunction-normalize"),
+    pytest.param(("scan", "--m", "1", "--b2", "0.5", "--param", "b1", "--from", "0.1",
+                  "--to", "0.9", "--steps", "4"), "rows", (), id="scan"),
+])
+def test_json_and_csv_carry_identical_numbers(capsys, args, rows_key, nulls):
+    from kgkratzer import cli
+
+    assert cli.main(list(args)) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert cli.main([*args, "--format", "csv"]) == 0
+    header, *lines = csv.reader(io.StringIO(capsys.readouterr().out))
+    rows = results[rows_key] if rows_key else [results]
+    assert len(lines) == len(rows) > 0
+    for row, cells in zip(rows, lines):
+        assert len(cells) == len(header)
+        assert {key for key in header if row.get(key) is None} == set(nulls)
+        for key, cell in zip(header, cells):
+            value = row.get(key)
+            assert cell == ("" if value is None else str(value))
 
 
 def test_output_file_writing(tmp_path):

@@ -152,6 +152,23 @@ def test_admissibility_equal_coulomb_boundary():
     assert report.overall == "boundary"
 
 
+def test_admissibility_radicand_zero_is_boundary():
+    # 1/4 + 2*(m*a1 + E*a2) = 0 puts c at -1/2 exactly, outside c > 0 and at
+    # the closed end of the boundary window.
+    exact = admissibility(PotentialParams(m=1.0, a1=-0.125, b1=0.5), 0.5)
+    level = admissibility(
+        PotentialParams(m=0.6803775192179047, a1=-0.2650206959900866,
+                        b1=0.42607903102997047, a2=0.22083695798305997,
+                        b2=0.10541048409726628),
+        0.25047493945003846,
+    )
+    for report in (exact, level):
+        assert report.c_value == -0.5
+        assert not report.c_nonnegative
+        assert report.overall == "boundary"
+        assert report.reasons == ("c = -1/2 exactly",)
+
+
 def test_admissibility_strictly_admissible_case():
     params = PotentialParams(m=1.0, a1=5.0, b1=0.5, a2=3.0, b2=0.25)
     report = admissibility(params, 0.8)

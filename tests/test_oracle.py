@@ -43,7 +43,7 @@ def test_eigensolve_equal_manifold():
     assert result.energy == pytest.approx(0.6, abs=1e-6)
     assert result.node_count == 0
     assert result.bracket[1] - result.bracket[0] < 2e-8
-    assert abs(result.match_defect) < result.grid.defect_tolerance
+    assert abs(result.match_defect) < 1e-5
 
 
 def test_eigensolve_opposite_manifold():

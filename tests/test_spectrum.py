@@ -273,12 +273,20 @@ def test_solver_config_validation():
 
 def test_convergence_error_on_tiny_budget():
     params = PotentialParams(m=1.0, b1=0.5, b2=0.5)
-    cfg = SolverConfig(max_iterations=2)
+    cfg = SolverConfig(max_iterations=1)
     with pytest.raises(ConvergenceError):
         solve_levels(params, 0, cfg)
     # solve_spectrum records per-level failures instead of raising
     run = solve_spectrum(params, 1, cfg)
     assert len(run.failures) == 2
+
+
+def test_search_converging_on_its_last_allowed_trial_succeeds():
+    # The default solve of this level narrows its cell in exactly 2 trials.
+    params = PotentialParams(m=1.0, b1=0.5, b2=0.5)
+    (level,) = solve_levels(params, 0, SolverConfig(max_iterations=2))
+    assert level.iterations == 2
+    assert level == solve_levels(params, 0)[0]
 
 
 def test_levels_of_a_badly_scaled_polynomial_are_polished():
