@@ -27,7 +27,6 @@ from .model import (
 )
 from .oracle import (
     DeviationReport,
-    GridConfig,
     ShootingResult,
     deviation_report,
     kg_eigensolve,
@@ -36,7 +35,6 @@ from .oracle import (
 from .spectrum import (
     ClosedFormResult,
     EnergyLevel,
-    SolverConfig,
     SpectrumRun,
     approx_energy,
     closed_form,
@@ -48,7 +46,6 @@ from .spectrum import (
 from .wavefunction import (
     GroundStateEval,
     NormalizationResult,
-    QuadratureConfig,
     ResidualReport,
     eval_ground_state,
     normalization,
@@ -68,14 +65,13 @@ __all__ = [
     "PotentialParams", "DerivedCoefficients", "AdmissibilityReport",
     "derived_coefficients", "potentials_at", "admissibility",
     # spectrum
-    "SolverConfig", "EnergyLevel", "SpectrumRun", "ClosedFormResult",
-    "spectrum_residual", "solve_levels", "solve_spectrum", "closed_form",
-    "approx_energy", "nonrel_epsilon",
+    "EnergyLevel", "SpectrumRun", "ClosedFormResult", "spectrum_residual",
+    "solve_levels", "solve_spectrum", "closed_form", "approx_energy",
+    "nonrel_epsilon",
     # wavefunction
-    "GroundStateEval", "ResidualReport", "QuadratureConfig",
-    "NormalizationResult", "eval_ground_state", "residual_report",
-    "normalization",
+    "GroundStateEval", "ResidualReport", "NormalizationResult",
+    "eval_ground_state", "residual_report", "normalization",
     # oracle
-    "GridConfig", "ShootingResult", "DeviationReport", "kg_match_defect",
-    "kg_eigensolve", "deviation_report",
+    "ShootingResult", "DeviationReport", "kg_match_defect", "kg_eigensolve",
+    "deviation_report",
 ]

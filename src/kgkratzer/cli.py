@@ -35,7 +35,7 @@ from .errors import (
     NoBoundStateError,
 )
 from .model import PotentialParams, admissibility
-from .oracle import GridConfig, deviation_report
+from .oracle import deviation_report
 from .spectrum import (
     CLOSED_FORM_CASES,
     SERIES_CASES,

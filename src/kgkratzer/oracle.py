@@ -36,10 +36,9 @@ from ._radial import STATUS_OK, sweep, u_eval
 from ._search import bracketed_search
 from .errors import ConvergenceError, DomainError, FallToCenterError, NoBoundStateError
 from .model import PotentialParams
-from .spectrum import EnergyLevel, SolverConfig, select_level, solve_levels
+from .spectrum import EnergyLevel, select_level, solve_levels
 
 __all__ = [
-    "GridConfig",
     "ShootingResult",
     "DeviationReport",
     "kg_match_defect",
@@ -50,31 +49,18 @@ __all__ = [
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Discretization rules for the shooting integrations.
-
-    The adaptive controller sets every step from the ``integrator_tolerance``
-    local error; no sweep caps its step below its own span.  ``steps`` only
-    sets the step budget of each sweep, 200*steps accepted steps.  The
-    origin radius is chosen so the decaying origin factor contributes
-    ``origin_exponent`` e-folds; the outer radius covers ``tail_lengths``
-    decay lengths 1/kappa and ``peak_factor`` times the turning-region scale.
-    The inward sweep starts there from the asymptotic series of the decaying
-    solution, accurate enough that 12 decay lengths suffice.
-    """
-
-    steps: int = 1000
-    integrator_tolerance: float = 1e-10
-    origin_exponent: float = 30.0
-    tail_lengths: float = 12.0
-    peak_factor: float = 3.0
-
-    def __post_init__(self):
-        if self.steps < 1000:
-            raise ValueError("steps must be >= 1000")
-        if self.integrator_tolerance <= 0:
-            raise ValueError("integrator_tolerance must be positive")
+# The adaptive controller sets every step from the local error _RTOL; no
+# sweep caps its step below its own span, and each may take _MAX_STEPS
+# accepted steps.  The origin radius is chosen so the decaying origin factor
+# contributes _ORIGIN_EXPONENT e-folds; the outer radius covers _TAIL_LENGTHS
+# decay lengths 1/kappa and _PEAK_FACTOR times the turning-region scale.  The
+# inward sweep starts there from the asymptotic series of the decaying
+# solution, accurate enough that 12 decay lengths suffice.
+_RTOL = 1e-10
+_MAX_STEPS = 200_000
+_ORIGIN_EXPONENT = 30.0
+_TAIL_LENGTHS = 12.0
+_PEAK_FACTOR = 3.0
 
 
 @dataclass(frozen=True)
@@ -85,7 +71,6 @@ class ShootingResult:
     node_count: int
     match_defect: float
     bracket: tuple[float, float]
-    grid: GridConfig
     defect_evaluations: int = 0
 
 
@@ -135,7 +120,6 @@ class _Domain:
     r_min: float
     r_match: float
     r_max: float
-    max_steps: int
 
 
 def _outward_seed(params: PotentialParams, energy: float, r_min: float):
@@ -181,8 +165,8 @@ def _tail_log_deriv(kappa, q1, q2, q3, q4, r):
     return -kappa + (sigma + r_slope / total) / r
 
 
-def _domain(params: PotentialParams, energy: float, grid: GridConfig) -> _Domain:
-    """Fix the integration geometry (radii and step budget) at one reference E."""
+def _domain(params: PotentialParams, energy: float) -> _Domain:
+    """Fix the integration radii at one reference E."""
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
     if kappa2 <= 0.0:
         raise DomainError(f"shooting needs E^2 < m^2, got E={energy}, m={params.m}")
@@ -195,13 +179,13 @@ def _domain(params: PotentialParams, energy: float, grid: GridConfig) -> _Domain
         r_turn = -q1 / kappa2
     if q2 < 0.0:
         r_turn = max(r_turn, math.sqrt(-q2) / kappa)
-    r_max = max(grid.tail_lengths / kappa, grid.peak_factor * r_turn)
+    r_max = max(_TAIL_LENGTHS / kappa, _PEAK_FACTOR * r_turn)
 
     # Origin radius per the dominant balance of U near r = 0.
     if q4 > 0.0:
-        r_min = math.sqrt(q4) / grid.origin_exponent
+        r_min = math.sqrt(q4) / _ORIGIN_EXPONENT
     elif q3 > 0.0:
-        r_min = 4.0 * q3 / (grid.origin_exponent * grid.origin_exponent)
+        r_min = 4.0 * q3 / (_ORIGIN_EXPONENT * _ORIGIN_EXPONENT)
     else:
         p = 0.5 + math.sqrt(0.25 + q2)
         b1 = abs(q1) / (2.0 * p)
@@ -223,15 +207,10 @@ def _domain(params: PotentialParams, energy: float, grid: GridConfig) -> _Domain
         r_match = radii[min(range(len(radii)), key=u_vals.__getitem__)]
     r_match = min(max(r_match, 4.0 * r_min), 0.25 * r_max)
 
-    return _Domain(
-        r_min=r_min,
-        r_match=r_match,
-        r_max=r_max,
-        max_steps=200 * grid.steps,
-    )
+    return _Domain(r_min=r_min, r_match=r_match, r_max=r_max)
 
 
-def _defect_on_domain(params, energy, grid: GridConfig, dom: _Domain):
+def _defect_on_domain(params, energy, dom: _Domain):
     """Wronskian defect, node count and Pruefer mismatch on a fixed geometry.
 
     The mismatch is Delta = (theta_out - theta_in)/pi with
@@ -251,7 +230,7 @@ def _defect_on_domain(params, energy, grid: GridConfig, dom: _Domain):
     y_out, dy_out, nodes_out, status_out, _ = sweep(
         kappa2, q1, q2, q3, q4,
         dom.r_min, dom.r_match, y0, log_deriv * y0,
-        dom.r_match - dom.r_min, grid.integrator_tolerance, dom.max_steps,
+        dom.r_match - dom.r_min, _RTOL, _MAX_STEPS,
     )
     if status_out != STATUS_OK:
         raise ConvergenceError(
@@ -261,7 +240,7 @@ def _defect_on_domain(params, energy, grid: GridConfig, dom: _Domain):
     y_in, dy_in, nodes_in, status_in, _ = sweep(
         kappa2, q1, q2, q3, q4,
         dom.r_max, dom.r_match, 1.0, _tail_log_deriv(kappa, q1, q2, q3, q4, dom.r_max),
-        dom.r_max - dom.r_match, grid.integrator_tolerance, dom.max_steps,
+        dom.r_max - dom.r_match, _RTOL, _MAX_STEPS,
     )
     if status_in != STATUS_OK:
         raise ConvergenceError(
@@ -276,18 +255,15 @@ def _defect_on_domain(params, energy, grid: GridConfig, dom: _Domain):
     return defect, nodes_out + nodes_in, (theta_out - theta_in) / math.pi
 
 
-def kg_match_defect(
-    params: PotentialParams, energy: float, grid: GridConfig | None = None
-) -> tuple[float, int]:
+def kg_match_defect(params: PotentialParams, energy: float) -> tuple[float, int]:
     """Shooting mismatch at one trial energy.
 
     The defect is a continuous function of E that changes sign across every
     eigenvalue; the node count is the number of interior zeros of the
     outward/inward composite solution.
     """
-    grid = grid or GridConfig()
-    dom = _domain(params, energy, grid)
-    defect, nodes, _ = _defect_on_domain(params, energy, grid, dom)
+    dom = _domain(params, energy)
+    defect, nodes, _ = _defect_on_domain(params, energy, dom)
     return defect, nodes
 
 
@@ -330,7 +306,7 @@ def _clip(params: PotentialParams, bracket: tuple[float, float]) -> tuple[float,
     return _subcritical_bracket(params, lo, hi)
 
 
-def _converge(params, n, grid, dom, a, b, g_a, g_b, evaluations):
+def _converge(params, n, dom, a, b, g_a, g_b, evaluations):
     """Narrow the sign change of Delta - n on [a, b] to 1e-8*m, starting at
     the midpoint (callers centre their brackets on their estimate of the
     level), and check the node count of the level found.
@@ -340,14 +316,14 @@ def _converge(params, n, grid, dom, a, b, g_a, g_b, evaluations):
     check.
     """
     def excess(e: float) -> float:
-        return _defect_on_domain(params, e, grid, dom)[2] - n
+        return _defect_on_domain(params, e, dom)[2] - n
 
     a, b, g_a, g_b, trials = bracketed_search(
         excess, a, b, g_a, g_b, 0.5 * (a + b), 1e-8 * params.m, _MAX_REFINEMENTS)
 
     # Across the final bracket Delta is linear to far below its width.
     e_star = a if a == b else a - g_a * (b - a) / (g_b - g_a)
-    defect_star, nodes_star, _ = _defect_on_domain(params, e_star, grid, dom)
+    defect_star, nodes_star, _ = _defect_on_domain(params, e_star, dom)
     if nodes_star != n:
         raise ConvergenceError(
             f"Pruefer mismatch matched n={n} at E={e_star}, "
@@ -358,12 +334,11 @@ def _converge(params, n, grid, dom, a, b, g_a, g_b, evaluations):
         node_count=nodes_star,
         match_defect=defect_star,
         bracket=(a, b),
-        grid=grid,
         defect_evaluations=evaluations + trials + 1,
     )
 
 
-def _search(params, n, grid, brackets) -> ShootingResult | None:
+def _search(params, n, brackets) -> ShootingResult | None:
     """The n-node level in the first of ``brackets`` that holds it, or None.
 
     Each bracket is clipped to subcritical energies and gets the geometry of
@@ -382,9 +357,9 @@ def _search(params, n, grid, brackets) -> ShootingResult | None:
         if empty is None or (lo, hi) != centred:
             # A clipped bracket has its own centre, so its own geometry.
             empty = None
-            dom = _domain(params, 0.5 * (lo + hi), grid)
-        g_lo = _defect_on_domain(params, lo, grid, dom)[2] - n
-        g_hi = _defect_on_domain(params, hi, grid, dom)[2] - n
+            dom = _domain(params, 0.5 * (lo + hi))
+        g_lo = _defect_on_domain(params, lo, dom)[2] - n
+        g_hi = _defect_on_domain(params, hi, dom)[2] - n
         evaluations += 2
         if g_lo * g_hi <= 0.0:
             a, b, g_a, g_b = lo, hi, g_lo, g_hi
@@ -396,17 +371,14 @@ def _search(params, n, grid, brackets) -> ShootingResult | None:
                     b, g_b = in_lo, g_in_lo
                 else:
                     a, g_a = in_hi, g_in_hi
-            return _converge(params, n, grid, dom, a, b, g_a, g_b, evaluations)
+            return _converge(params, n, dom, a, b, g_a, g_b, evaluations)
         if (lo, hi) == centred:
             empty = (lo, hi, g_lo, g_hi)
     return None
 
 
 def kg_eigensolve(
-    params: PotentialParams,
-    n: int,
-    bracket: tuple[float, float],
-    grid: GridConfig | None = None,
+    params: PotentialParams, n: int, bracket: tuple[float, float]
 ) -> ShootingResult | None:
     """Search one energy bracket for the eigenvalue with exactly n nodes.
 
@@ -420,18 +392,13 @@ def kg_eigensolve(
     ConvergenceError when an integration or the refinement breaks down, or
     when the refined solution does not carry n nodes.
     """
-    grid = grid or GridConfig()
     if n < 0 or int(n) != n:
         raise DomainError(f"node count target must be a nonnegative integer, got {n!r}")
-    return _search(params, int(n), grid, [bracket])
+    return _search(params, int(n), [bracket])
 
 
 def deviation_report(
-    params: PotentialParams,
-    n: int,
-    grid: GridConfig | None = None,
-    config: SolverConfig | None = None,
-    branch: str = "particle",
+    params: PotentialParams, n: int, branch: str = "particle"
 ) -> DeviationReport:
     """Compare the implicit-equation level against the shooting eigenvalue.
 
@@ -444,9 +411,8 @@ def deviation_report(
     are labeled by their source ("analytic:" for the implicit solve,
     "oracle:" for the shooting solve).
     """
-    grid = grid or GridConfig()
     try:
-        level = select_level(solve_levels(params, n, config), branch)
+        level = select_level(solve_levels(params, n), branch)
     except (DomainError, ConvergenceError) as exc:
         raise type(exc)(f"analytic: {exc}") from exc
     if level is None:
@@ -458,7 +424,7 @@ def deviation_report(
     widths = (0.4 * (m - abs(e_analytic)) * 2.0 ** i for i in range(6))
     brackets = [(e_analytic - w, e_analytic + w) for w in widths if w <= 2.0 * m]
     try:
-        result = _search(params, n, grid, brackets)
+        result = _search(params, n, brackets)
     except (DomainError, ConvergenceError) as exc:
         raise type(exc)(f"oracle: {exc}") from exc
     if result is None:

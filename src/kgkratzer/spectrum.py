@@ -34,7 +34,6 @@ from .model import (
 )
 
 __all__ = [
-    "SolverConfig",
     "EnergyLevel",
     "SpectrumRun",
     "spectrum_residual",
@@ -61,29 +60,11 @@ CLOSED_FORM_CASES = (
 SERIES_CASES = ("pure_vector_series", "equal_series", "opposite_series")
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the polynomial-candidate root search.
-
-    A level is accepted when |f| < ``root_tolerance`` at the end of its
-    polished bracket; ``max_iterations`` caps the f(E) evaluations of one
-    polish.  ``energy_margin`` is the exclusion zone at E = +-m (both
-    endpoints carry a trivial or double zero of f); None means 1e-9 * m.
-    """
-
-    root_tolerance: float = 1e-12
-    max_iterations: int = 200
-    energy_margin: float | None = None
-
-    def __post_init__(self):
-        for name in ("root_tolerance", "max_iterations"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.energy_margin is not None and self.energy_margin <= 0:
-            raise ValueError("energy_margin must be positive")
-
-    def margin(self, m: float) -> float:
-        return self.energy_margin if self.energy_margin is not None else 1e-9 * m
+# A level is accepted when |f| < _ROOT_TOLERANCE at the end of its polished
+# bracket; _MAX_ITERATIONS caps the f(E) evaluations of one polish.  The
+# window excludes 1e-9*m at E = +-m, where f has a trivial or double zero.
+_ROOT_TOLERANCE = 1e-12
+_MAX_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -135,10 +116,10 @@ def spectrum_residual(params: PotentialParams, n: int, energy: float) -> float:
     return float(_residual_array(params, int(n), np.asarray(float(energy)))[()])
 
 
-def _window(params: PotentialParams, cfg: SolverConfig) -> tuple[float, float] | None:
-    """Intersect (-m + margin, m - margin) with the nonnegative-radicand side."""
+def _window(params: PotentialParams) -> tuple[float, float] | None:
+    """Intersect (-m + 1e-9*m, m - 1e-9*m) with the nonnegative-radicand side."""
     m = params.m
-    lo, hi = -m + cfg.margin(m), m - cfg.margin(m)
+    lo, hi = -m + 1e-9 * m, m - 1e-9 * m
     base = 1.0 + 8.0 * params.m * params.a1
     slope = 8.0 * params.a2
     if slope == 0.0:
@@ -185,7 +166,7 @@ def _candidates(params: PotentialParams, n: int) -> np.ndarray:
     return np.sort(np.roots(coefficients).real)
 
 
-def _roots(params, n, cfg: SolverConfig) -> list[tuple[float, float, int]]:
+def _roots(params, n) -> list[tuple[float, float, int]]:
     """(energy, |f|, search evaluations) of every zero of f in the window.
 
     Cuts at the midpoints between consecutive candidates, clipped to the
@@ -197,7 +178,7 @@ def _roots(params, n, cfg: SolverConfig) -> list[tuple[float, float, int]]:
     level there leaves |f| far above the tolerance however narrow the
     bracket.
     """
-    window = _window(params, cfg)
+    window = _window(params)
     if window is None:
         return []
     lo, hi = window
@@ -224,16 +205,16 @@ def _roots(params, n, cfg: SolverConfig) -> list[tuple[float, float, int]]:
         floor = 4.0 * 2.3e-16 * max(abs(a), abs(b))
         a, b, f_a, f_b, evaluations = bracketed_search(
             residual, a, b, f_a, f_b, min(max(candidate, a), b), floor,
-            cfg.max_iterations,
+            _MAX_ITERATIONS,
         )
         best_f, best_e = min((abs(f_a), a), (abs(f_b), b))
         # With k = 2*(m*b1 + E*b2) and N = 2n + 1, |df/ds| = 2k^2/(N + s)^3 <= 2k^2/N^3.
         k = 2.0 * (params.m * params.b1 + best_e * params.b2)
         s_share = 2.0 * k * k / (2.0 * n + 1.0) ** 3 * abs(s_of(b) - s_of(a))
-        if best_f >= cfg.root_tolerance + s_share:
+        if best_f >= _ROOT_TOLERANCE + s_share:
             raise ConvergenceError(
                 f"|f| = {best_f} at E={best_e} is not below "
-                f"the root tolerance {cfg.root_tolerance}"
+                f"the root tolerance {_ROOT_TOLERANCE}"
             )
         roots.append((best_e, best_f, evaluations))
     return roots
@@ -259,16 +240,13 @@ def select_level(levels, branch: str) -> EnergyLevel | None:
     return pick(matching, key=lambda lvl: lvl.energy)
 
 
-def solve_levels(
-    params: PotentialParams, n: int, config: SolverConfig | None = None
-) -> list[EnergyLevel]:
+def solve_levels(params: PotentialParams, n: int) -> list[EnergyLevel]:
     """All interior zeros of f(E) for one level, classified and flagged.
 
     Returns an empty list when no sign change exists.  Roots in flagged
     regions (imaginary a, negative c window) are still returned; their
     admissibility report carries the reasons.
     """
-    cfg = config or SolverConfig()
     if n < 0 or int(n) != n:
         raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
     n = int(n)
@@ -282,13 +260,11 @@ def solve_levels(
             residual=fval,
             iterations=iterations,
         )
-        for energy, fval, iterations in _roots(params, n, cfg)
+        for energy, fval, iterations in _roots(params, n)
     ]
 
 
-def solve_spectrum(
-    params: PotentialParams, n_max: int, config: SolverConfig | None = None
-) -> SpectrumRun:
+def solve_spectrum(params: PotentialParams, n_max: int) -> SpectrumRun:
     """Apply solve_levels for n = 0..n_max; failures do not abort other levels."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -296,7 +272,7 @@ def solve_spectrum(
     failures: list[tuple[int, str]] = []
     for n in range(int(n_max) + 1):
         try:
-            for level in solve_levels(params, n, config):
+            for level in solve_levels(params, n):
                 table.setdefault((n, level.branch), []).append(level)
         except ConvergenceError as exc:
             failures.append((n, str(exc)))

@@ -40,7 +40,6 @@ from .model import PotentialParams, derived_coefficients, potentials_at
 __all__ = [
     "GroundStateEval",
     "ResidualReport",
-    "QuadratureConfig",
     "NormalizationResult",
     "eval_ground_state",
     "residual_report",
@@ -225,17 +224,6 @@ def residual_report(params: PotentialParams, energy: float, sample_radii) -> Res
 
 
 @dataclass(frozen=True)
-class QuadratureConfig:
-    """Relative accuracy target of the trapezoid rule that normalizes psi^2."""
-
-    rel_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if not self.rel_tolerance > 0:
-            raise ValueError("invalid quadrature configuration")
-
-
-@dataclass(frozen=True)
 class NormalizationResult:
     """Normalization integral of psi^2 with its refinement error estimate.
 
@@ -252,15 +240,12 @@ class NormalizationResult:
     evaluations: int
 
 
+_REL_TOLERANCE = 1e-10  # relative agreement of two successive trapezoid sums
 _TAIL_DROP = 40.0    # each tail stops where exp(g) has fallen below e^-40 of its peak
 _MAX_HALVINGS = 10
 
 
-def normalization(
-    params: PotentialParams,
-    energy: float,
-    quad_config: QuadratureConfig | None = None,
-) -> NormalizationResult:
+def normalization(params: PotentialParams, energy: float) -> NormalizationResult:
     """Integral of psi^2 over (0, inf) and the constant N = 1/sqrt(integral).
 
     With r = e^t the integrand is exp(g(t)), g(t) = (2c+3)*t - 2a*e^(-t) -
@@ -269,12 +254,11 @@ def normalization(
     exponentially.  The grid is centred on the peak t* of g with the step
     h = 0.5/sqrt(-g''(t*)); each side is summed outward until g has fallen by
     40 below g(t*).  h is halved, reusing every point, until two successive
-    sums agree to ``rel_tolerance``; ``error_estimate`` is their difference
+    sums agree to 1e-10; ``error_estimate`` is their difference
     plus a bound on the rounding of g.  The sums carry exp(g - g(t*)), and
     exp(g(t*)) is applied once at the end.  An integral outside the float
     range raises ``QuadratureError``.
     """
-    cfg = quad_config or QuadratureConfig()
     coeffs = _coefficients_or_raise(params, energy)
     a, c, k = coeffs.a, coeffs.c, coeffs.k
     if c < 0.0 or k <= 0.0 or a < 0.0:
@@ -311,12 +295,12 @@ def normalization(
         total += tail(0.5 * h, h) + tail(-0.5 * h, -h)
         h *= 0.5
         fine = h * total
-        if abs(fine - coarse) <= cfg.rel_tolerance * fine:
+        if abs(fine - coarse) <= _REL_TOLERANCE * fine:
             break
         coarse = fine
     else:
         raise QuadratureError(
-            f"trapezoid rule did not reach rel_tolerance {cfg.rel_tolerance} "
+            f"trapezoid rule did not reach rel_tolerance {_REL_TOLERANCE} "
             f"in {_MAX_HALVINGS} halvings"
         )
 

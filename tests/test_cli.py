@@ -278,10 +278,10 @@ def test_spectrum_warns_for_a_failed_level_and_exits_4(monkeypatch, capsys):
 
     solve_levels = spectrum.solve_levels
 
-    def fail_at_one(params, n, config=None):
+    def fail_at_one(params, n):
         if n == 1:
             raise ConvergenceError("no convergence")
-        return solve_levels(params, n, config)
+        return solve_levels(params, n)
 
     monkeypatch.setattr(spectrum, "solve_levels", fail_at_one)
     code = cli.main(["spectrum", "--m", "1", "--b1", "0.5", "--b2", "0.5",
@@ -309,8 +309,7 @@ def test_spectrum_level_on_the_radicand_zero():
 def test_spectrum_tolerance_warning_names_the_level_once(monkeypatch, capsys):
     from kgkratzer import cli, spectrum
 
-    config = spectrum.SolverConfig
-    monkeypatch.setattr(spectrum, "SolverConfig", lambda: config(root_tolerance=1e-30))
+    monkeypatch.setattr(spectrum, "_ROOT_TOLERANCE", 1e-30)
     code = cli.main(["spectrum", "--m", "1", "--b1", "0.5", "--b2", "0.5",
                      "--nmax", "0", "--format", "csv"])
     _, err = capsys.readouterr()

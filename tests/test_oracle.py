@@ -5,7 +5,6 @@ import pytest
 from kgkratzer import (
     DomainError,
     FallToCenterError,
-    GridConfig,
     PotentialParams,
     deviation_report,
     kg_eigensolve,
@@ -105,12 +104,6 @@ def test_eigenvalues_ordered_by_node_count():
     assert energies == sorted(energies)
 
 
-def test_grid_doubling_stability():
-    coarse = deviation_report(EQUAL_A, 0, GridConfig(steps=4000))
-    fine = deviation_report(EQUAL_A, 0, GridConfig(steps=8000))
-    assert abs(coarse.oracle_energy - fine.oracle_energy) < 1e-7
-
-
 def test_fall_to_center_guard():
     for b2 in (0.5, 0.6):
         with pytest.raises(FallToCenterError):
@@ -118,13 +111,6 @@ def test_fall_to_center_guard():
     # attractive inverse-quartic origin
     with pytest.raises(FallToCenterError):
         kg_match_defect(PotentialParams(m=1.0, a2=1.0, b2=0.1), 0.2)
-
-
-def test_grid_config_validation():
-    with pytest.raises(ValueError):
-        GridConfig(steps=10)
-    with pytest.raises(ValueError):
-        GridConfig(integrator_tolerance=0.0)
 
 
 def test_defect_requires_subluminal_energy():
@@ -156,15 +142,14 @@ def test_oracle_matches_exact_levels_off_the_manifolds(b1, b2):
 def test_pruefer_mismatch_is_the_node_index():
     # Delta - n changes sign across the n-node level, rising with E where
     # E > V_V (equal manifold) and falling where E < V_V (opposite manifold).
-    grid = GridConfig()
     for params, sign in ((EQUAL, 1.0), (OPPOSITE, -1.0)):
         for n in range(3):
             nu2 = (n + 1.0) ** 2
             level = sign * (nu2 - 0.25) / (nu2 + 0.25)
-            dom = oracle._domain(params, level, grid)
-            _, _, below = oracle._defect_on_domain(params, level - 1e-3, grid, dom)
-            _, nodes, at = oracle._defect_on_domain(params, level, grid, dom)
-            _, _, above = oracle._defect_on_domain(params, level + 1e-3, grid, dom)
+            dom = oracle._domain(params, level)
+            _, _, below = oracle._defect_on_domain(params, level - 1e-3, dom)
+            _, nodes, at = oracle._defect_on_domain(params, level, dom)
+            _, _, above = oracle._defect_on_domain(params, level + 1e-3, dom)
             assert nodes == n
             assert at == pytest.approx(n, abs=1e-6)
             assert sign * (above - below) > 0.0
@@ -244,9 +229,10 @@ def test_deviation_report_counts_every_bracket(monkeypatch):
 
 
 @pytest.mark.parametrize("params", [EQUAL_A, PotentialParams(m=1.0, b1=0.8, b2=-0.2)])
-def test_default_grid_agrees_with_a_tighter_tolerance(params):
+def test_default_grid_agrees_with_a_tighter_tolerance(monkeypatch, params):
     default = deviation_report(params, 0)
-    tight = deviation_report(params, 0, GridConfig(integrator_tolerance=1e-12))
+    monkeypatch.setattr(oracle, "_RTOL", 1e-12)
+    tight = deviation_report(params, 0)
     assert abs(default.oracle_energy - tight.oracle_energy) < 1e-7
 
 
@@ -294,7 +280,7 @@ def test_results_carry_plain_floats():
 def test_flat_zero_of_the_mismatch_still_converges(monkeypatch):
     # Interpolation creeps from one side towards a ninth-order zero; the
     # step-halving guard bisects instead of exhausting the refinement budget.
-    def flat_mismatch(params, energy, grid, dom):
+    def flat_mismatch(params, energy, dom):
         return 0.0, 0, (energy - 0.61) ** 9
 
     monkeypatch.setattr(oracle, "_defect_on_domain", flat_mismatch)
@@ -353,9 +339,9 @@ def test_widened_bracket_reuses_the_inner_ends(monkeypatch):
     energies = []
     defect_on_domain = oracle._defect_on_domain
 
-    def recorded(params, energy, grid, dom):
+    def recorded(params, energy, dom):
         energies.append(energy)
-        return defect_on_domain(params, energy, grid, dom)
+        return defect_on_domain(params, energy, dom)
 
     monkeypatch.setattr(oracle, "_defect_on_domain", recorded)
     report = deviation_report(PotentialParams(m=1.0, b1=0.8), 0)

@@ -8,13 +8,13 @@ from kgkratzer import (
     ConvergenceError,
     DomainError,
     PotentialParams,
-    SolverConfig,
     StructuralConstraintError,
     approx_energy,
     closed_form,
     nonrel_epsilon,
     solve_levels,
     solve_spectrum,
+    spectrum,
     spectrum_residual,
 )
 
@@ -112,17 +112,17 @@ def test_pure_scalar_symmetric_pair():
 
 
 def test_back_substitution_invariant():
-    cfg = SolverConfig()
+    tolerance = spectrum._ROOT_TOLERANCE
     for params in (
         PotentialParams(m=1.0, b1=0.6, b2=0.8),
         PotentialParams(m=1.5, a1=1.2, b1=0.4, a2=-0.3, b2=0.5),
         PotentialParams(m=1.0, a1=5.0, b1=0.5, a2=3.0, b2=0.25),
     ):
         for n in range(3):
-            for lvl in solve_levels(params, n, cfg):
-                assert lvl.residual < cfg.root_tolerance
+            for lvl in solve_levels(params, n):
+                assert lvl.residual < tolerance
                 assert abs(lvl.energy) < params.m
-                assert abs(spectrum_residual(params, n, lvl.energy)) < cfg.root_tolerance
+                assert abs(spectrum_residual(params, n, lvl.energy)) < tolerance
 
 
 def test_partial_radicand_domain_is_split():
@@ -264,29 +264,24 @@ def test_nonrel_epsilon_values():
     assert values == sorted(values)  # increases toward zero from below
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(root_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(energy_margin=-1.0)
-
-
-def test_convergence_error_on_tiny_budget():
+def test_convergence_error_on_tiny_budget(monkeypatch):
     params = PotentialParams(m=1.0, b1=0.5, b2=0.5)
-    cfg = SolverConfig(max_iterations=1)
+    monkeypatch.setattr(spectrum, "_MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError):
-        solve_levels(params, 0, cfg)
+        solve_levels(params, 0)
     # solve_spectrum records per-level failures instead of raising
-    run = solve_spectrum(params, 1, cfg)
+    run = solve_spectrum(params, 1)
     assert len(run.failures) == 2
 
 
-def test_search_converging_on_its_last_allowed_trial_succeeds():
+def test_search_converging_on_its_last_allowed_trial_succeeds(monkeypatch):
     # The default solve of this level narrows its cell in exactly 2 trials.
     params = PotentialParams(m=1.0, b1=0.5, b2=0.5)
-    (level,) = solve_levels(params, 0, SolverConfig(max_iterations=2))
+    default = solve_levels(params, 0)[0]
+    monkeypatch.setattr(spectrum, "_MAX_ITERATIONS", 2)
+    (level,) = solve_levels(params, 0)
     assert level.iterations == 2
-    assert level == solve_levels(params, 0)[0]
+    assert level == default
 
 
 def test_levels_of_a_badly_scaled_polynomial_are_polished():

@@ -7,11 +7,11 @@ from kgkratzer import (
     DomainError,
     QuadratureError,
     PotentialParams,
-    QuadratureConfig,
     eval_ground_state,
     normalization,
     residual_report,
     solve_levels,
+    wavefunction,
 )
 from kgkratzer.model import derived_coefficients
 from kgkratzer.wavefunction import chi_peak_radius, mismatch_coefficients
@@ -135,10 +135,11 @@ def test_normalization_gamma_c1():
     assert result.norm_constant == pytest.approx(1.0 / math.sqrt(24.0), rel=1e-8)
 
 
-def test_normalization_refinement_agreement():
+def test_normalization_refinement_agreement(monkeypatch):
     params = PotentialParams(m=1.0, a1=1.0, b1=0.5)  # a=1, c=1, k=1 at E=0.5
-    coarse = normalization(params, 0.5, QuadratureConfig(rel_tolerance=1e-8))
-    fine = normalization(params, 0.5, QuadratureConfig(rel_tolerance=1e-10))
+    fine = normalization(params, 0.5)
+    monkeypatch.setattr(wavefunction, "_REL_TOLERANCE", 1e-8)
+    coarse = normalization(params, 0.5)
     assert math.isfinite(coarse.integral) and coarse.integral > 0
     assert abs(coarse.integral - fine.integral) <= 1e-8 * fine.integral
     assert coarse.error_estimate < 1e-6 * coarse.integral
@@ -182,15 +183,6 @@ def test_normalization_error_estimate_is_honest_and_cheap(params, energy, exact)
     assert result.error_estimate >= abs(result.integral - exact)
     assert result.error_estimate <= 1e-10 * result.integral
     assert result.evaluations <= 200
-
-
-def test_quadrature_config_has_only_a_tolerance():
-    assert QuadratureConfig().rel_tolerance == 1e-10
-    for removed in ("max_depth", "tail_exponent"):
-        with pytest.raises(TypeError):
-            QuadratureConfig(**{removed: 60})
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tolerance=0.0)
 
 
 def test_normalization_out_of_float_range_raises():
