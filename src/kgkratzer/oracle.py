@@ -28,6 +28,7 @@ finder on Delta - n converges to it without a scan.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+_EPS = sys.float_info.epsilon
 
 
 # The adaptive controller sets every step from the local error _RTOL; no
@@ -133,10 +135,35 @@ def _outward_seed(params: PotentialParams, energy: float, r_min: float):
     elif q3 > 0.0:
         log_deriv = 0.75 / r_min + math.sqrt(q3) / r_min ** 1.5
     else:
-        p = 0.5 + math.sqrt(0.25 + q2)
-        b1 = q1 / (2.0 * p)
-        log_deriv = (p + (p + 1.0) * b1 * r_min) / (r_min * (1.0 + b1 * r_min))
+        log_deriv = _origin_log_deriv(kappa2, q1, q2, r_min)
     return 1.0, log_deriv
+
+
+def _origin_log_deriv(kappa2, q1, q2, r):
+    """psi'/psi at r of the regular solution when U ~ q2/r^2 at the origin.
+
+    Sums the Frobenius series psi = r^p sum_j a_j r^j with p = 1/2 +
+    sqrt(1/4 + q2), a_0 = 1 and j (2p + j - 1) a_j = q1 a_(j-1) + kappa2 a_(j-2)
+    (substitute the series into psi'' = U psi).  No irregular r^(1-p) part
+    enters the seed, so none is left to fade as (r_min/r)^(2p-1), which is
+    slowly near the critical q2 = -1/4.  The recurrence has three terms, so
+    one zero term (a_1 at q1 = 0) does not end the sum: it stops when two
+    successive terms fall below an ulp of the sum.  The terms t_j = a_j r^j
+    are recurred directly.
+    """
+    p = 0.5 + math.sqrt(0.25 + q2)
+    t1, t2 = 1.0, 0.0          # t_(j-1), t_(j-2)
+    total, r_slope = 1.0, 0.0  # sum of t_j, and r times its derivative
+    j = 1
+    while True:
+        t = (q1 * t1 + kappa2 * r * t2) * r / (j * (2.0 * p + j - 1.0))
+        total += t
+        r_slope += j * t
+        if abs(t) + abs(t1) <= _EPS * abs(total):
+            break
+        t1, t2 = t, t1
+        j += 1
+    return (p + r_slope / total) / r
 
 
 def _tail_log_deriv(kappa, q1, q2, q3, q4, r):

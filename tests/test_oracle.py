@@ -255,6 +255,18 @@ def test_offmanifold_solves_stay_within_the_regula_falsi_budget(b1, b2, budget):
     assert report.shooting.defect_evaluations <= budget
 
 
+@pytest.mark.parametrize("q2", [-0.2, -0.24, -0.249])
+def test_level_near_a_critical_origin_lies_inside_its_bracket(q2):
+    # As q2 = b1^2 - b2^2 nears -1/4, the irregular solution r^(1-p) fades
+    # outward only as (r_min/r)^(2p-1) with 2p - 1 -> 0, so the outward seed
+    # must hold none of it for the level to be as good as its bracket.
+    b1 = 0.4
+    b2 = math.sqrt(b1 * b1 - q2)
+    report = deviation_report(PotentialParams(m=1.0, b1=b1, b2=b2), 0)
+    lo, hi = report.shooting.bracket
+    assert abs(report.oracle_energy - coulomb_plane_exact(b1, b2, 0)) <= hi - lo
+
+
 @pytest.mark.parametrize("offset", [1e-4, -1e-4, 1e-2, -1e-2])
 @pytest.mark.parametrize("params, n, level", [(EQUAL, 0, 0.6), (OPPOSITE, 1, -15.0 / 17.0)])
 def test_off_centre_bracket_returns_the_exact_level(params, n, level, offset):
@@ -291,8 +303,8 @@ def test_flat_zero_of_the_mismatch_still_converges(monkeypatch):
 
 
 @pytest.mark.parametrize("params, bracket, energy, evaluations", [
-    (EQUAL, (0.55, 0.65), 0.5999999998709089, 5),
-    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197745667, 11),
+    (EQUAL, (0.55, 0.65), 0.5999999999832353, 5),
+    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.832351819774584, 11),
 ])
 def test_eigensolve_trial_sequence_is_pinned(params, bracket, energy, evaluations):
     # Exact energies and evaluation counts of the midpoint-first Brent search;
