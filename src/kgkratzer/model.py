@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, FallToCenterError
 
 __all__ = [
     "PotentialParams",
@@ -100,6 +100,8 @@ class AdmissibilityReport:
 
     ``scalar_dominance`` (a1 > a2 and |b1| < |b2|) is advisory only: several
     solvable limits violate it, so it never affects the overall verdict.
+    ``origin_subcritical`` applies the shooting oracle's origin rule to the
+    full equation's U(r), whose 1/r^2 coefficient also holds b1^2 - b2^2.
     """
 
     a_real: bool
@@ -108,6 +110,7 @@ class AdmissibilityReport:
     k_positive: bool
     energy_subluminal: bool
     sqrt_domain_ok: bool
+    origin_subcritical: bool
     scalar_dominance: bool
     overall: str
     reasons: tuple[str, ...] = field(default=())
@@ -186,14 +189,43 @@ def potentials_at(params: PotentialParams, energy: float, r: float):
     return v_s, v_v, v_eff
 
 
+def u_series(params: PotentialParams, energy: float):
+    """Coefficients (kappa2, q1, q2, q3, q4) of U(r), straight from V_S, V_V."""
+    kappa2 = params.m * params.m - energy * energy
+    q4 = params.a1 * params.a1 - params.a2 * params.a2
+    q3 = -2.0 * (params.a1 * params.b1 - params.a2 * params.b2)
+    q2 = 2.0 * (params.m * params.a1 + energy * params.a2) \
+        + params.b1 * params.b1 - params.b2 * params.b2
+    q1 = -2.0 * (params.m * params.b1 + energy * params.b2)
+    return kappa2, q1, q2, q3, q4
+
+
+def origin_guard(q2: float, q3: float, q4: float) -> None:
+    """Reject supercritical origins: attraction stronger than -1/(4 r^2)."""
+    if q4 < 0.0:
+        raise FallToCenterError(
+            f"U ~ {q4}/r^4 at the origin: attractive inverse-quartic, fall to center"
+        )
+    if q4 == 0.0 and q3 < 0.0:
+        raise FallToCenterError(
+            f"U ~ {q3}/r^3 at the origin: attractive inverse-cube, fall to center"
+        )
+    if q4 == 0.0 and q3 == 0.0 and q2 <= -0.25:
+        raise FallToCenterError(
+            f"inverse-square coefficient {q2} <= -1/4 at the origin: "
+            "no self-adjoint ground state"
+        )
+
+
 def admissibility(params: PotentialParams, energy: float) -> AdmissibilityReport:
     """Evaluate every bound-state flag at (params, energy); total function.
 
-    Verdicts: "admissible" needs a real, c > 0, k > 0, E^2 < m^2 and the
-    centrifugal radicand nonnegative; exact a = 0, c = 0 or c = -1/2 (the
-    radicand zero) and the square-integrable window -1/2 < c < 0 demote it
-    to "boundary"; any hard failure yields "inadmissible" with one reason
-    per failed flag.
+    Verdicts: "admissible" needs a real, c > 0, k > 0, E^2 < m^2, the
+    centrifugal radicand nonnegative and a subcritical origin (the check
+    that the oracle applies before it integrates); exact a = 0, c = 0 or
+    c = -1/2 (the radicand zero) and the square-integrable window
+    -1/2 < c < 0 demote it to "boundary"; any hard failure yields
+    "inadmissible" with one reason per failed flag.
     """
     coeffs = derived_coefficients(params, energy)
     reasons: list[str] = []
@@ -215,9 +247,18 @@ def admissibility(params: PotentialParams, energy: float) -> AdmissibilityReport
     if not energy_subluminal:
         reasons.append("E^2 >= m^2: outside the bound-state window")
 
+    _, _, q2, q3, q4 = u_series(params, energy)
+    try:
+        origin_guard(q2, q3, q4)
+        origin_subcritical = True
+    except FallToCenterError as exc:
+        origin_subcritical = False
+        reasons.append(str(exc))
+
     scalar_dominance = params.a1 > params.a2 and abs(params.b1) < abs(params.b2)
 
-    hard_ok = a_real and sqrt_domain_ok and k_positive and energy_subluminal
+    hard_ok = (a_real and sqrt_domain_ok and k_positive and energy_subluminal
+               and origin_subcritical)
     boundary = False
     if hard_ok:
         if coeffs.c is not None and -0.5 < coeffs.c < 0.0:
@@ -245,6 +286,7 @@ def admissibility(params: PotentialParams, energy: float) -> AdmissibilityReport
         k_positive=k_positive,
         energy_subluminal=energy_subluminal,
         sqrt_domain_ok=sqrt_domain_ok,
+        origin_subcritical=origin_subcritical,
         scalar_dominance=scalar_dominance,
         overall=overall,
         reasons=tuple(reasons),

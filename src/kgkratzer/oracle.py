@@ -36,7 +36,7 @@ import numpy as np
 from ._radial import STATUS_OK, sweep, u_eval
 from ._search import bracketed_search
 from .errors import ConvergenceError, DomainError, FallToCenterError, NoBoundStateError
-from .model import PotentialParams
+from .model import PotentialParams, origin_guard, u_series
 from .spectrum import EnergyLevel, select_level, solve_levels
 
 __all__ = [
@@ -89,34 +89,6 @@ class DeviationReport:
     shooting: ShootingResult
 
 
-def u_series(params: PotentialParams, energy: float):
-    """Coefficients (kappa2, q1, q2, q3, q4) of U(r), straight from V_S, V_V."""
-    kappa2 = params.m * params.m - energy * energy
-    q4 = params.a1 * params.a1 - params.a2 * params.a2
-    q3 = -2.0 * (params.a1 * params.b1 - params.a2 * params.b2)
-    q2 = 2.0 * (params.m * params.a1 + energy * params.a2) \
-        + params.b1 * params.b1 - params.b2 * params.b2
-    q1 = -2.0 * (params.m * params.b1 + energy * params.b2)
-    return kappa2, q1, q2, q3, q4
-
-
-def _origin_guard(q2: float, q3: float, q4: float) -> None:
-    """Reject supercritical origins: attraction stronger than -1/(4 r^2)."""
-    if q4 < 0.0:
-        raise FallToCenterError(
-            f"U ~ {q4}/r^4 at the origin: attractive inverse-quartic, fall to center"
-        )
-    if q4 == 0.0 and q3 < 0.0:
-        raise FallToCenterError(
-            f"U ~ {q3}/r^3 at the origin: attractive inverse-cube, fall to center"
-        )
-    if q4 == 0.0 and q3 == 0.0 and q2 <= -0.25:
-        raise FallToCenterError(
-            f"inverse-square coefficient {q2} <= -1/4 at the origin: "
-            "no self-adjoint ground state"
-        )
-
-
 @dataclass(frozen=True)
 class _Domain:
     r_min: float
@@ -127,7 +99,7 @@ class _Domain:
 def _outward_seed(params: PotentialParams, energy: float, r_min: float):
     """(psi, dpsi) of the regular solution at r_min, up to overall scale."""
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
-    _origin_guard(q2, q3, q4)
+    origin_guard(q2, q3, q4)
     if q4 > 0.0:
         a_u = math.sqrt(q4)
         power = 1.0 + q3 / (2.0 * a_u)
@@ -197,7 +169,7 @@ def _domain(params: PotentialParams, energy: float) -> _Domain:
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
     if kappa2 <= 0.0:
         raise DomainError(f"shooting needs E^2 < m^2, got E={energy}, m={params.m}")
-    _origin_guard(q2, q3, q4)
+    origin_guard(q2, q3, q4)
     kappa = math.sqrt(kappa2)
 
     # Outer radius: far beyond both the decay scale and the turning region.
@@ -316,7 +288,7 @@ def _subcritical_bracket(params: PotentialParams, lo: float, hi: float):
                 f"the bracket but a sliver at E={e_critical}"
             )
     else:
-        _origin_guard(max(q2_lo, q2_hi), q3, q4)
+        origin_guard(max(q2_lo, q2_hi), q3, q4)
     return lo, hi
 
 

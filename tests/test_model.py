@@ -5,10 +5,13 @@ import pytest
 
 from kgkratzer import (
     DomainError,
+    FallToCenterError,
     PotentialParams,
     admissibility,
     derived_coefficients,
+    oracle,
     potentials_at,
+    solve_levels,
 )
 
 
@@ -182,6 +185,47 @@ def test_scalar_dominance_is_advisory_only():
     report = admissibility(params, 0.8)
     assert not report.scalar_dominance
     assert report.overall == "admissible"
+
+
+def test_supercritical_origin_is_inadmissible():
+    # The README's --b1 0.6 --b2 0.8 example: c = 0 from the paper's index,
+    # but the full equation's 1/r^2 coefficient b1^2 - b2^2 = -0.28 < -1/4.
+    params = PotentialParams(m=1.0, b1=0.6, b2=0.8)
+    (level,) = [lvl for lvl in solve_levels(params, 0) if lvl.branch == "particle"]
+    report = level.admissibility
+    assert report.c_value == 0.0
+    assert not report.origin_subcritical
+    assert report.overall == "inadmissible"
+    with pytest.raises(FallToCenterError) as guard:
+        oracle._domain(params, level.energy)
+    assert report.reasons == (str(guard.value),)
+
+
+def test_admissible_verdict_means_the_oracle_can_start_at_the_origin():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coupling = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+    # a2 = +-a1 leaves U without a 1/r^4 term, where the 1/r^3 and 1/r^2
+    # terms decide whether the origin is subcritical.
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        m=st.floats(0.5, 2.0),
+        a1=st.one_of(st.just(0.0), coupling),
+        b1=coupling,
+        tie=st.sampled_from((1.0, -1.0, None)),
+        free_a2=coupling,
+        b2=coupling,
+        fraction=st.floats(-0.999, 0.999),
+    )
+    def check(m, a1, b1, tie, free_a2, b2, fraction):
+        a2 = free_a2 if tie is None else tie * a1
+        params = PotentialParams(m=m, a1=a1, b1=b1, a2=a2, b2=b2)
+        energy = fraction * m
+        if admissibility(params, energy).overall in ("admissible", "boundary"):
+            oracle._domain(params, energy)
+
+    check()
 
 
 def test_admissibility_is_deterministic():
