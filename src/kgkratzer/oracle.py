@@ -117,11 +117,11 @@ def _origin_log_deriv(kappa2, q1, q2, r):
     Sums the Frobenius series psi = r^p sum_j a_j r^j with p = 1/2 +
     sqrt(1/4 + q2), a_0 = 1 and j (2p + j - 1) a_j = q1 a_(j-1) + kappa2 a_(j-2)
     (substitute the series into psi'' = U psi).  No irregular r^(1-p) part
-    enters the seed, so none is left to fade as (r_min/r)^(2p-1), which is
-    slowly near the critical q2 = -1/4.  The recurrence has three terms, so
-    one zero term (a_1 at q1 = 0) does not end the sum: it stops when two
-    successive terms fall below an ulp of the sum.  The terms t_j = a_j r^j
-    are recurred directly.
+    enters the seed, so none is left to fade as (r_min/r)^(2p-1), a fade
+    that stalls as q2 nears the critical -1/4.  The recurrence has three
+    terms, so one zero term (a_1 at q1 = 0) does not end the sum: it stops
+    when two successive terms fall below an ulp of the sum.  The terms
+    t_j = a_j r^j are recurred directly.
     """
     p = 0.5 + math.sqrt(0.25 + q2)
     t1, t2 = 1.0, 0.0          # t_(j-1), t_(j-2)
