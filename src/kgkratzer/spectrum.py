@@ -93,15 +93,18 @@ class SpectrumRun:
         return flat
 
 
-def _residual_array(params: PotentialParams, n: int, energies: np.ndarray) -> np.ndarray:
-    m = params.m
-    k = 2.0 * (m * params.b1 + energies * params.b2)
+def _s_of(params: PotentialParams, energy: float) -> float:
     # Rounding can leave -4e-16 where a cell edge or a polishing trial meets
-    # the radicand's zero: clamp to 0 (bit-identical elsewhere), not NaN.
-    radicand = np.maximum(1.0 + 8.0 * (m * params.a1 + energies * params.a2), 0.0)
-    root = np.sqrt(radicand)
-    denom = 2.0 * n + 1.0 + root
-    return energies * energies - m * m + (k * k) / (denom * denom)
+    # the radicand's zero: clamp to 0, not NaN.  A NaN radicand stays NaN.
+    return math.sqrt(max(1.0 + 8.0 * (params.m * params.a1 + energy * params.a2), 0.0))
+
+
+# perfbench/tracer.py wraps this by name and counts the size of its energy: 1 for a float.
+def _residual_array(params: PotentialParams, n: int, energy: float) -> float:
+    m = params.m
+    k = 2.0 * (m * params.b1 + energy * params.b2)
+    denom = 2.0 * n + 1.0 + _s_of(params, energy)
+    return energy * energy - m * m + (k * k) / (denom * denom)
 
 
 def spectrum_residual(params: PotentialParams, n: int, energy: float) -> float:
@@ -113,7 +116,7 @@ def spectrum_residual(params: PotentialParams, n: int, energy: float) -> float:
         raise DomainError(
             f"spectrum radicand 1 + 8*(m*a1 + E*a2) = {radicand} is negative at E={energy}"
         )
-    return float(_residual_array(params, int(n), np.asarray(float(energy)))[()])
+    return _residual_array(params, int(n), float(energy))
 
 
 def _window(params: PotentialParams) -> tuple[float, float] | None:
@@ -132,7 +135,7 @@ def _window(params: PotentialParams) -> tuple[float, float] | None:
     return (lo, hi) if lo < hi else None
 
 
-def _candidates(params: PotentialParams, n: int) -> np.ndarray:
+def _candidates(params: PotentialParams, n: int) -> list[float]:
     """Real parts of the roots of P(E) = X^2 - Y^2 * s^2, sorted.
 
     With N = 2n + 1 and s^2 = c0 + c1*E = 1 + 8*(m*a1 + E*a2), the residual
@@ -163,7 +166,7 @@ def _candidates(params: PotentialParams, n: int) -> np.ndarray:
     ]
     # Near-real pairs split by rounding keep both real parts: each gets a
     # cell, and the sign test decides whether a level lies in it.
-    return np.sort(np.roots(coefficients).real)
+    return sorted(np.roots(coefficients).real.tolist())
 
 
 def _roots(params, n) -> list[tuple[float, float, int]]:
@@ -183,19 +186,15 @@ def _roots(params, n) -> list[tuple[float, float, int]]:
         return []
     lo, hi = window
     candidates = _candidates(params, n)
-    cuts = np.clip(0.5 * (candidates[:-1] + candidates[1:]), lo, hi)
-    edges = np.concatenate(([lo], cuts, [hi]))
-    values = _residual_array(params, n, edges).tolist()
-    edges = edges.tolist()
+    edges = [lo, *(min(max(0.5 * (x + y), lo), hi)
+                   for x, y in zip(candidates, candidates[1:])), hi]
+    values = [_residual_array(params, n, edge) for edge in edges]
 
     def residual(energy: float) -> float:
-        return float(_residual_array(params, n, np.asarray(energy)))
-
-    def s_of(energy: float) -> float:
-        return math.sqrt(max(1.0 + 8.0 * (params.m * params.a1 + energy * params.a2), 0.0))
+        return _residual_array(params, n, energy)
 
     roots = []
-    for i, candidate in enumerate(candidates.tolist()):
+    for i, candidate in enumerate(candidates):
         a, b, f_a, f_b = edges[i], edges[i + 1], values[i], values[i + 1]
         # An exact zero is a level on its cell's left end, or on the window's
         # top end, so a zero shared by two cells counts once.
@@ -210,7 +209,7 @@ def _roots(params, n) -> list[tuple[float, float, int]]:
         best_f, best_e = min((abs(f_a), a), (abs(f_b), b))
         # With k = 2*(m*b1 + E*b2) and N = 2n + 1, |df/ds| = 2k^2/(N + s)^3 <= 2k^2/N^3.
         k = 2.0 * (params.m * params.b1 + best_e * params.b2)
-        s_share = 2.0 * k * k / (2.0 * n + 1.0) ** 3 * abs(s_of(b) - s_of(a))
+        s_share = 2.0 * k * k / (2.0 * n + 1.0) ** 3 * abs(_s_of(params, b) - _s_of(params, a))
         if best_f >= _ROOT_TOLERANCE + s_share:
             raise ConvergenceError(
                 f"|f| = {best_f} at E={best_e} is not below "
