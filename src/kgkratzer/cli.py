@@ -14,8 +14,10 @@ Exit codes: 0 success, 2 invalid parameters, 3 no bound state found,
 4 convergence failure (and 1 for a verification suite that ran but failed).
 
 Size flags are capped so that no request can ask for unbounded work or
-memory: spectrum --nmax <= 1000, scan --steps <= 10000, wavefunction
---points <= 1000000 and verify --cases <= 100000.  A larger value exits 2.
+memory: spectrum --nmax <= 1000, --n <= 1000 on energy, wavefunction and
+scan, scan --steps <= 10000, wavefunction --points <= 1000000 and verify
+--cases <= 100000.  A larger value exits 2, and so does a config value
+that its flag's type cannot hold.
 """
 
 from __future__ import annotations
@@ -106,13 +108,16 @@ def _resolve(ns, config, key, default=None, cast=None):
     value = getattr(ns, key.replace("-", "_"), None)
     if value is None:
         value = config.get(key, default)
-    if value is None:
-        return None
-    return cast(value) if cast else value
+    if value is None or cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"config key {key!r}: cannot read {value!r}: {exc}") from exc
 
 
-def _check_cap(flag: str, value: int, cap: int):
-    if value > cap:
+def _check_cap(flag: str, value: int | None, cap: int):
+    if value is not None and value > cap:  # None: a JSON null in the config
         raise DomainError(f"--{flag} must be <= {cap}, got {value}")
 
 
@@ -230,6 +235,7 @@ def _cmd_energy(ns, config, diag) -> int:
     n = _resolve(ns, config, "n", cast=int)
     if n is None or n < 0:
         raise DomainError("--n is required and must be >= 0")
+    _check_cap("n", n, MAX_NMAX)
     method_raw = _resolve(ns, config, "method", default="implicit")
     branch = _resolve(ns, config, "branch", default="particle")
     compare = _resolve(ns, config, "compare")
@@ -297,6 +303,7 @@ def _cmd_wavefunction(ns, config, diag) -> int:
     _require_real_a(params)
     raw_e = _resolve(ns, config, "e", default="auto")
     n = _resolve(ns, config, "n", default=0, cast=int)
+    _check_cap("n", n, MAX_NMAX)
     r_min = _resolve(ns, config, "rmin", cast=float)
     r_max = _resolve(ns, config, "rmax", cast=float)
     points = _resolve(ns, config, "points", default=101, cast=int)
@@ -366,6 +373,7 @@ def _cmd_scan(ns, config, diag) -> int:
     if steps < 1:
         raise DomainError("--steps must be >= 1")
     _check_cap("steps", steps, MAX_SCAN_STEPS)
+    _check_cap("n", n, MAX_NMAX)
     base = {key: _resolve(ns, config, key, cast=float) for key in _PARAM_KEYS}
     values = [start + (stop - start) * i / steps for i in range(steps + 1)]
 

@@ -61,6 +61,13 @@ def test_unknown_flag_exit_2():
     ("wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--e", "0.6",
      "--rmin", "0.1", "--rmax", "5", "--points", "1000001"),
     ("verify", "--suite", "residuals", "--cases", "100001"),
+    ("energy", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--n", "1001"),
+    # Too large for a float: it must not reach the residual's arithmetic.
+    ("energy", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--n", "1" + "0" * 400),
+    ("wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--e", "0.6",
+     "--n", "1001", "--rmin", "0.1", "--rmax", "5", "--points", "10"),
+    ("scan", "--m", "1", "--b2", "0.5", "--param", "b1", "--from", "0.1", "--to", "0.5",
+     "--steps", "2", "--n", "1001"),
 ])
 def test_size_flag_above_cap_exit_2(args):
     result = run_cli(*args)
@@ -170,6 +177,17 @@ def test_config_file_with_flag_override(tmp_path):
     result = run_cli("spectrum", "--config", str(config), "--b1", "0.1", "--b2", "0.1")
     row = result.stdout.strip().splitlines()[1]
     assert abs(float(row.split(",")[2]) - 0.9801980198019802) < 1e-9
+
+
+@pytest.mark.parametrize("nmax", ["1e400", "[1]"])
+def test_config_value_that_cannot_be_cast_exit_2(tmp_path, nmax):
+    # json reads 1e400 as inf, which int() cannot hold; [1] is no number at all.
+    config = tmp_path / "run.json"
+    config.write_text(f'{{"m": 1.0, "b1": 0.5, "b2": 0.5, "nmax": {nmax}}}')
+    result = run_cli("spectrum", "--config", str(config))
+    assert result.returncode == 2
+    assert result.stderr.startswith("ERROR: config key 'nmax'")
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("args, rows_key, nulls", [
