@@ -223,6 +223,37 @@ def test_closed_forms_are_zeros_of_the_implicit_equation():
                 assert abs(spectrum_residual(params, n, energy)) < 1e-10
 
 
+def test_closed_forms_are_zeros_of_f_and_levels_of_the_solver():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coupling = st.floats(-1.5, 1.5, allow_subnormal=False)
+
+    @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        case=st.sampled_from(spectrum.CLOSED_FORM_CASES),
+        m=st.floats(0.5, 2.0),
+        a1=st.floats(-1.0 / 16.0, 2.0),  # 1 + 8*m*a1 >= 0 for m <= 2
+        b1=coupling,
+        b2=coupling,
+        n=st.integers(0, 3),
+    )
+    def check(case, m, a1, b1, b2, n):
+        params = PotentialParams(m=m, **{
+            "coulomb_general": {"b1": b1, "b2": b2},
+            "pure_scalar": {"a1": a1, "b1": b1},
+            "pure_vector_coulomb": {"b2": b2},
+            "equal": {"b1": b1, "b2": b1},
+            "opposite": {"b1": b1, "b2": -b1},
+        }[case])
+        levels = [lvl.energy for lvl in solve_levels(params, n)]
+        for energy in closed_form(params, n, case):
+            assert abs(spectrum_residual(params, n, energy)) <= 1e-12 * m * m
+            if abs(energy) < m - 1e-9 * m:
+                assert min(abs(energy - level) for level in levels) <= 1e-10 * m
+
+    check()
+
+
 def test_series_pure_vector():
     params = PotentialParams(m=1.0, a2=0.1, b2=0.2)
     assert approx_energy(params, 0, "pure_vector_series") == pytest.approx(
