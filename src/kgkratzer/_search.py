@@ -1,7 +1,8 @@
 """The bracketed root search shared by the spectrum and the oracle.
 
-Both narrow a sign change: of f(E) on a cell around a polynomial root, and
-of the Pruefer mismatch Delta(E) - n on an oracle bracket.
+Both narrow a sign change: of f(E) on a cell that holds one root of the
+spectrum's polynomial, and of the Pruefer mismatch Delta(E) - n on an
+oracle bracket.
 """
 
 from __future__ import annotations

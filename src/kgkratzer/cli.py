@@ -103,11 +103,23 @@ def _load_config(path):
     return data
 
 
+def _integer(value) -> int:
+    """int() that refuses to truncate: 2.0 reads as 2, 1.9 is an error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
 def _resolve(ns, config, key, default=None, cast=None):
-    """Flag wins over config file; config wins over the built-in default."""
+    """Flag wins over config file; config wins over the built-in default.
+
+    A JSON null in the config counts as absent, so the default applies.
+    """
     value = getattr(ns, key.replace("-", "_"), None)
     if value is None:
-        value = config.get(key, default)
+        value = config.get(key)
+    if value is None:
+        value = default
     if value is None or cast is None:
         return value
     try:
@@ -116,8 +128,8 @@ def _resolve(ns, config, key, default=None, cast=None):
         raise DomainError(f"config key {key!r}: cannot read {value!r}: {exc}") from exc
 
 
-def _check_cap(flag: str, value: int | None, cap: int):
-    if value is not None and value > cap:  # None: a JSON null in the config
+def _check_cap(flag: str, value: int, cap: int):
+    if value > cap:
         raise DomainError(f"--{flag} must be <= {cap}, got {value}")
 
 
@@ -191,7 +203,7 @@ def _emit(request: dict, results, diag, header=(), rows=()):
 def _cmd_spectrum(ns, config, diag) -> int:
     params = _params_from(ns, config)
     _require_real_a(params)
-    n_max = _resolve(ns, config, "nmax", cast=int)
+    n_max = _resolve(ns, config, "nmax", cast=_integer)
     if n_max is None or n_max < 0:
         raise DomainError("--nmax is required and must be >= 0")
     _check_cap("nmax", n_max, MAX_NMAX)
@@ -232,7 +244,7 @@ def _parse_method(raw: str):
 
 def _cmd_energy(ns, config, diag) -> int:
     params = _params_from(ns, config)
-    n = _resolve(ns, config, "n", cast=int)
+    n = _resolve(ns, config, "n", cast=_integer)
     if n is None or n < 0:
         raise DomainError("--n is required and must be >= 0")
     _check_cap("n", n, MAX_NMAX)
@@ -302,11 +314,11 @@ def _cmd_wavefunction(ns, config, diag) -> int:
     params = _params_from(ns, config)
     _require_real_a(params)
     raw_e = _resolve(ns, config, "e", default="auto")
-    n = _resolve(ns, config, "n", default=0, cast=int)
+    n = _resolve(ns, config, "n", default=0, cast=_integer)
     _check_cap("n", n, MAX_NMAX)
     r_min = _resolve(ns, config, "rmin", cast=float)
     r_max = _resolve(ns, config, "rmax", cast=float)
-    points = _resolve(ns, config, "points", default=101, cast=int)
+    points = _resolve(ns, config, "points", default=101, cast=_integer)
     normalize = bool(_resolve(ns, config, "normalize", default=False))
     if r_min is None or r_max is None:
         raise DomainError("--rmin and --rmax are required")
@@ -348,8 +360,8 @@ def _cmd_verify(ns, config, diag) -> int:
     suite = _resolve(ns, config, "suite")
     if suite is None:
         raise DomainError("--suite is required (residuals, manifolds or limits)")
-    seed = _resolve(ns, config, "seed", default=0, cast=int)
-    cases = _resolve(ns, config, "cases", default=200, cast=int)
+    seed = _resolve(ns, config, "seed", default=0, cast=_integer)
+    cases = _resolve(ns, config, "cases", default=200, cast=_integer)
     _check_cap("cases", cases, MAX_CASES)
     try:
         report = run_suite(suite, seed=seed, cases=cases)
@@ -366,8 +378,8 @@ def _cmd_scan(ns, config, diag) -> int:
         raise DomainError(f"--param must be one of {_PARAM_KEYS}, got {name!r}")
     start = _resolve(ns, config, "from", cast=float)
     stop = _resolve(ns, config, "to", cast=float)
-    steps = _resolve(ns, config, "steps", cast=int)
-    n = _resolve(ns, config, "n", default=0, cast=int)
+    steps = _resolve(ns, config, "steps", cast=_integer)
+    n = _resolve(ns, config, "n", default=0, cast=_integer)
     if start is None or stop is None or steps is None:
         raise DomainError("--from, --to and --steps are required")
     if steps < 1:

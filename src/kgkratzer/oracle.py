@@ -31,8 +31,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._radial import STATUS_OK, sweep, u_eval
 from ._search import bracketed_search
 from .errors import ConvergenceError, DomainError, FallToCenterError, NoBoundStateError
@@ -194,7 +192,10 @@ def _domain(params: PotentialParams, energy: float) -> _Domain:
     # Matching radius: geometric middle of the classically allowed region,
     # where both shooting solutions are large and the Wronskian is best
     # conditioned; fall back to the (clamped) minimum of U if U >= 0.  Plain
-    # floats, not numpy scalars, go on into the sweeps and the results.
+    # floats, not numpy scalars, go on into the sweeps and the results.  numpy
+    # is imported here, not at load, so that commands without the oracle skip it.
+    import numpy as np
+
     radii = np.geomspace(max(r_min, 1e-12), r_max, 600).tolist()
     u_vals = [u_eval(kappa2, q1, q2, q3, q4, r) for r in radii]
     negative = [i for i, u in enumerate(u_vals) if u < 0.0]

@@ -7,21 +7,22 @@ The spectrum is defined implicitly by
 whose zeros on (-m, m) are the bound-state energies for level ``n``.  The
 equation is transcendental in E only through the square root
 s = sqrt(1 + 8*(m*a1 + E*a2)).  Squaring s away turns every zero into a root
-of a polynomial of degree at most 6, so the general solver takes the roots
-of that polynomial as candidates, keeps those around which f changes sign,
-and polishes each to machine resolution by a bracketed Brent search on f
-itself.  The list of levels is complete by construction: no scan grid can
-miss one.  Degenerate coupling families admit exact closed forms and
-truncated-series approximations; both are provided verbatim so they can be
-cross-checked against the implicit roots.
+of a polynomial P of degree at most 6.  The real critical points of P cut
+the window into cells on which P is monotone, so each cell holds at most one
+root of P and so at most one level; the critical points are the roots of
+P', found in plain floats by the same cut one derivative down.  The solver
+keeps the cells across which f changes sign and polishes each level to
+machine resolution by a bracketed Brent search on f itself.  The list of
+levels is complete by construction: no scan grid can miss one.  Degenerate
+coupling families admit exact closed forms and truncated-series
+approximations; both are provided verbatim so they can be cross-checked
+against the implicit roots.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ._search import bracketed_search
 from .errors import ConvergenceError, DomainError, StructuralConstraintError
@@ -65,6 +66,8 @@ SERIES_CASES = ("pure_vector_series", "equal_series", "opposite_series")
 # window excludes 1e-9*m at E = +-m, where f has a trivial or double zero.
 _ROOT_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 200
+# Newton steps allowed to one root of a polynomial on a monotone interval.
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -135,76 +138,160 @@ def _window(params: PotentialParams) -> tuple[float, float] | None:
     return (lo, hi) if lo < hi else None
 
 
-def _candidates(params: PotentialParams, n: int) -> list[float]:
-    """Real parts of the roots of P(E) = X^2 - Y^2 * s^2, sorted.
+def _sextic(params: PotentialParams, n: int) -> list[float]:
+    """Coefficients of P(t) = X^2 - Y^2 * s^2 in t = E/m, highest power first.
 
-    With N = 2n + 1 and s^2 = c0 + c1*E = 1 + 8*(m*a1 + E*a2), the residual
-    obeys f(E) * (N + s)^2 = X + Y*s, where
-    X = (E^2 - m^2)(N^2 + c0 + c1*E) + 4*(m*b1 + E*b2)^2 and
-    Y = 2N(E^2 - m^2).  Every zero of f is therefore a zero of the
-    polynomial P, of degree at most 6; P also vanishes where X = Y*s, the
-    s < 0 branch, which the sign test on each cell discards.
+    With N = 2n + 1 and s^2 = c0 + c1*t = 1 + 8*m*(a1 + t*a2), the residual
+    obeys f(m*t) * (N + s)^2 = m^2 * (X + Y*s), where
+    X = (t^2 - 1)(N^2 + c0 + c1*t) + 4*(b1 + t*b2)^2 and Y = 2N(t^2 - 1).
+    Every zero of f is therefore m times a zero of the polynomial P, of
+    degree at most 6; P also vanishes where X = Y*s, the s < 0 branch, which
+    the sign test on each cell discards.  In t the coefficients do not scale
+    with powers of m, which could leave the float range.
     """
-    m2, b1, b2 = params.m * params.m, params.b1, params.b2
+    b1, b2 = params.b1, params.b2
     big_n2 = (2.0 * n + 1.0) ** 2
     c0 = 1.0 + 8.0 * params.m * params.a1
-    c1 = 8.0 * params.a2
-    # X = x3*E^3 + x2*E^2 + x1*E + x0 and Y^2 = w*(E^2 - m^2)^2.
+    c1 = 8.0 * params.m * params.a2
+    # X = x3*t^3 + x2*t^2 + x1*t + x0 and Y^2 = w*(t^2 - 1)^2.
     x3 = c1
     x2 = big_n2 + c0 + 4.0 * b2 * b2
-    x1 = 8.0 * params.m * b1 * b2 - m2 * c1
-    x0 = m2 * (4.0 * b1 * b1 - big_n2 - c0)
+    x1 = 8.0 * b1 * b2 - c1
+    x0 = 4.0 * b1 * b1 - big_n2 - c0
     w = 4.0 * big_n2
-    coefficients = [
+    return [
         x3 * x3,
         2.0 * x3 * x2 - w * c1,
         x2 * x2 + 2.0 * x3 * x1 - w * c0,
-        2.0 * (x3 * x0 + x2 * x1 + m2 * w * c1),
-        x1 * x1 + 2.0 * (x2 * x0 + m2 * w * c0),
-        2.0 * x1 * x0 - m2 * m2 * w * c1,
-        x0 * x0 - m2 * m2 * w * c0,
+        2.0 * (x3 * x0 + x2 * x1 + w * c1),
+        x1 * x1 + 2.0 * (x2 * x0 + w * c0),
+        2.0 * x1 * x0 - w * c1,
+        x0 * x0 - w * c0,
     ]
-    # Near-real pairs split by rounding keep both real parts: each gets a
-    # cell, and the sign test decides whether a level lies in it.
-    return sorted(np.roots(coefficients).real.tolist())
+
+
+def _horner(coefficients: list[float], x: float) -> float:
+    value = 0.0
+    for c in coefficients:
+        value = value * x + c
+    return value
+
+
+def _derivative(coefficients: list[float]) -> list[float]:
+    degree = len(coefficients) - 1
+    return [c * (degree - i) for i, c in enumerate(coefficients[:-1])]
+
+
+def _monotone_root(coefficients: list[float], a: float, b: float,
+                   p_a: float, p_b: float) -> float:
+    """The root of a polynomial monotone on [a, b] whose end values p_a, p_b
+    differ in sign: Newton from the secant point, kept inside the shrinking
+    bracket by bisection, until its step falls to the rounding of x."""
+    tol = 4e-16 * max(abs(a), abs(b))
+    x = a - p_a * (b - a) / (p_b - p_a)
+    rising = p_a < 0.0
+    for _ in range(_NEWTON_STEPS):
+        p = dp = 0.0
+        for c in coefficients:
+            dp = dp * x + p
+            p = p * x + c
+        if p == 0.0:
+            return x
+        step = p / dp if dp != 0.0 else math.inf
+        if -tol <= step <= tol:
+            return min(max(x - step, a), b)
+        if (p < 0.0) == rising:
+            a = x
+        else:
+            b = x
+        x -= step
+        if not a < x < b:
+            x = 0.5 * (a + b)
+    return x
+
+
+def _real_roots(coefficients: list[float], lo: float, hi: float) -> list[float]:
+    """Sorted real roots inside (lo, hi) of the polynomial with these
+    coefficients, highest power first.
+
+    Leading zeros are dropped.  A constant, the zero polynomial included,
+    has no isolated root.  Degrees 1 and 2 are solved in closed form, the
+    quadratic without cancellation.  Above that, the roots of the derivative
+    cut (lo, hi) into intervals on which the polynomial is monotone, each
+    holding at most one root: the root of an interval whose ends differ in
+    sign, or an interior cut where the polynomial is exactly zero (a
+    multiple root).
+    """
+    start = 0
+    while start < len(coefficients) and coefficients[start] == 0.0:
+        start += 1
+    c = coefficients[start:]
+    degree = len(c) - 1
+    if degree <= 0:
+        return []
+    if degree == 1:
+        roots = [-c[1] / c[0]]
+    elif degree == 2:
+        disc = c[1] * c[1] - 4.0 * c[0] * c[2]
+        if disc < 0.0:
+            return []
+        q = -0.5 * (c[1] + math.copysign(math.sqrt(disc), c[1]))
+        roots = sorted((q / c[0], c[2] / q)) if q != 0.0 else [0.0]
+    else:
+        roots = []
+        a, p_a = lo, _horner(c, lo)
+        for b in (*_real_roots(_derivative(c), lo, hi), hi):
+            p_b = _horner(c, b)
+            if p_a * p_b < 0.0:
+                roots.append(_monotone_root(c, a, b, p_a, p_b))
+            elif p_b == 0.0 and b != hi:
+                roots.append(b)
+            a, p_a = b, p_b
+    return [x for x in roots if lo < x < hi]
 
 
 def _roots(params, n) -> list[tuple[float, float, int]]:
     """(energy, |f|, search evaluations) of every zero of f in the window.
 
-    Cuts at the midpoints between consecutive candidates, clipped to the
-    window, split it into one cell per candidate.  A cell whose ends differ
-    in sign holds one level, which the bracketed search narrows to machine
-    resolution starting from the candidate.  The level must leave |f| below
-    the root tolerance, widened by what the change of s across its narrowed
-    bracket alone can move f: at s = 0 the slope of s is infinite, so a
-    level there leaves |f| far above the tolerance however narrow the
-    bracket.
+    The real critical points of P, times m, cut the window into cells on
+    which P is monotone, so each cell holds at most one root of P and so at
+    most one level.  A cell whose ends differ in sign holds one level, which
+    the bracketed search narrows to machine resolution, starting from the
+    root of P in the cell (or from the cell's midpoint where rounding leaves
+    P with no sign change).  The level must leave |f| below the root
+    tolerance, widened by what the change of s across its narrowed bracket
+    alone can move f: at s = 0 the slope of s is infinite, so a level there
+    leaves |f| far above the tolerance however narrow the bracket.
     """
     window = _window(params)
     if window is None:
         return []
     lo, hi = window
-    candidates = _candidates(params, n)
-    edges = [lo, *(min(max(0.5 * (x + y), lo), hi)
-                   for x, y in zip(candidates, candidates[1:])), hi]
+    m = params.m
+    sextic = _sextic(params, n)
+    cuts = _real_roots(_derivative(sextic), lo / m, hi / m)
+    edges = [lo, *(min(max(m * t, lo), hi) for t in cuts), hi]
     values = [_residual_array(params, n, edge) for edge in edges]
+    if not all(map(math.isfinite, [*sextic, *values])):
+        raise DomainError(f"the spectrum equation overflows a float at {params}")
 
     def residual(energy: float) -> float:
         return _residual_array(params, n, energy)
 
     roots = []
-    for i, candidate in enumerate(candidates):
+    for i in range(len(edges) - 1):
         a, b, f_a, f_b = edges[i], edges[i + 1], values[i], values[i + 1]
         # An exact zero is a level on its cell's left end, or on the window's
         # top end, so a zero shared by two cells counts once.
         has_level = f_a * f_b < 0.0 or f_a == 0.0 or (f_b == 0.0 and b == hi)
         if not (a < b and has_level):
             continue
+        p_a, p_b = _horner(sextic, a / m), _horner(sextic, b / m)
+        first = (m * _monotone_root(sextic, a / m, b / m, p_a, p_b) if p_a * p_b < 0.0
+                 else 0.5 * (a + b))
         floor = 4.0 * 2.3e-16 * max(abs(a), abs(b))
         a, b, f_a, f_b, evaluations = bracketed_search(
-            residual, a, b, f_a, f_b, min(max(candidate, a), b), floor,
-            _MAX_ITERATIONS,
+            residual, a, b, f_a, f_b, min(max(first, a), b), floor, _MAX_ITERATIONS,
         )
         best_f, best_e = min((abs(f_a), a), (abs(f_b), b))
         # With k = 2*(m*b1 + E*b2) and N = 2n + 1, |df/ds| = 2k^2/(N + s)^3 <= 2k^2/N^3.

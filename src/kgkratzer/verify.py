@@ -22,8 +22,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
-
 from .model import PotentialParams, admissibility, derived_coefficients
 from .spectrum import approx_energy, closed_form, solve_levels, spectrum_residual
 from .wavefunction import (
@@ -59,7 +57,11 @@ def sample_admissible(rng: random.Random, max_tries: int = 1000):
     raise RuntimeError("admissible sampler exhausted its retry budget")
 
 
-def _sample_grid(params, energy, points: int = 50) -> np.ndarray:
+def _sample_grid(params, energy, points: int = 50):
+    # numpy's grid fixes the golden file's bytes; importing it here, not at
+    # load, spares every command but this suite the import.
+    import numpy as np
+
     coeffs = derived_coefficients(params, energy)
     peak = chi_peak_radius(coeffs.c, coeffs.k)
     return np.geomspace(1e-2 * peak, 1e2 * peak, points)

@@ -190,6 +190,64 @@ def test_config_value_that_cannot_be_cast_exit_2(tmp_path, nmax):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("args, key", [
+    pytest.param(("wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5",
+                  "--rmin", "0.1", "--rmax", "20"), "points", id="wavefunction-points"),
+    pytest.param(("verify", "--suite", "residuals", "--seed", "7"), "cases",
+                 id="verify-cases"),
+    pytest.param(("scan", "--m", "1", "--b2", "0.5", "--param", "b1", "--from", "0.1",
+                  "--to", "0.9", "--steps", "4"), "n", id="scan-n"),
+])
+def test_config_null_takes_the_default(tmp_path, args, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: None}))
+    with_null = run_cli(*args, "--config", str(config))
+    assert with_null.returncode == 0, with_null.stderr
+    assert with_null.stdout == run_cli(*args).stdout
+
+
+def test_config_integer_with_a_fraction_exit_2(tmp_path):
+    # int() would truncate 1.9 to 1 and run n = 0..1 without a word.
+    config = tmp_path / "run.json"
+    config.write_text('{"m": 1.0, "b1": 0.5, "b2": 0.5, "nmax": 1.9}')
+    result = run_cli("spectrum", "--config", str(config))
+    assert result.returncode == 2
+    assert result.stderr.startswith("ERROR: config key 'nmax'")
+    assert result.stdout == ""
+
+    config.write_text('{"m": 1.0, "b1": 0.5, "b2": 0.5, "nmax": 1.0}')
+    result = run_cli("spectrum", "--config", str(config), "--format", "csv")
+    assert result.returncode == 0
+    assert len(result.stdout.splitlines()) == 3
+
+
+def test_commands_without_the_oracle_never_import_numpy():
+    # numpy serves only the oracle's radius grid and verify's residual suite,
+    # so every other command runs without loading it.
+    script = """
+import contextlib, io, sys
+import kgkratzer.cli as cli
+couplings = ["--m", "1", "--b1", "0.5", "--b2", "0.5"]
+for argv in (
+    ["spectrum", *couplings, "--nmax", "2"],
+    ["scan", "--m", "1", "--b2", "0.5", "--param", "b1", "--from", "0.1", "--to", "0.9",
+     "--steps", "4"],
+    ["wavefunction", *couplings, "--e", "auto", "--rmin", "0.1", "--rmax", "20",
+     "--points", "5"],
+    ["energy", *couplings, "--n", "0", "--method", "closed:equal"],
+    ["verify", "--suite", "limits"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["energy", *couplings, "--n", "0", "--compare", "oracle"]) == 0
+assert "numpy" in sys.modules
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize("args, rows_key, nulls", [
     pytest.param(("spectrum", "--m", "1", "--b1", "0.6", "--b2", "0.8", "--nmax", "0"),
                  "levels", (), id="spectrum"),

@@ -376,3 +376,107 @@ def test_levels_match_an_independent_dense_scan():
                 assert abs(got - want) < 1e-12 * params.m, (params, n)
             checked += len(reference)
     assert checked > 300
+
+
+def test_levels_match_a_dense_scan_for_any_couplings():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(
+        m=st.floats(0.5, 2.0), a1=st.floats(0.0, 2.0), b1=st.floats(-1.5, 1.5),
+        a2=st.floats(-2.0, 2.0), b2=st.floats(-1.5, 1.5), n=st.integers(0, 2),
+    )
+    def check(m, a1, b1, a2, b2, n):
+        params = PotentialParams(m=m, a1=a1, b1=b1, a2=a2, b2=b2)
+        reference, cell = _dense_scan_roots(params, n)
+        # A near-tangent pair is below what the grid can resolve.
+        hypothesis.assume(all(b - a >= 10.0 * cell for a, b in zip(reference, reference[1:])))
+        energies = [lvl.energy for lvl in solve_levels(params, n)]
+        assert len(energies) == len(reference)
+        for got, want in zip(energies, reference):
+            assert abs(got - want) < 1e-12 * m
+
+    check()
+
+
+def _from_roots(roots, scale=1.0):
+    coefficients = [scale]
+    for root in roots:
+        coefficients = [*coefficients, 0.0]
+        for i in range(len(coefficients) - 1, 0, -1):
+            coefficients[i] -= root * coefficients[i - 1]
+    return coefficients
+
+
+@pytest.mark.parametrize("roots", [
+    (-0.75, -0.1, 0.3, 0.85),
+    (-0.9, -0.45, 0.05, 0.2, 0.6, 0.95),
+    (-3.0, -0.5, 0.4, 2.5, 7.0),  # three roots outside (-1, 1)
+    (-0.2, 0.1, 0.1, 0.7),  # a double root inside is reported once or twice, never lost
+])
+def test_real_roots_of_a_polynomial_built_from_its_roots(roots):
+    got = spectrum._real_roots(_from_roots(roots, scale=-2.5), -1.0, 1.0)
+    want = sorted(r for r in roots if -1.0 < r < 1.0)
+    assert got == sorted(got)
+    assert len(set(want)) <= len(got) <= len(want)
+    for root in want:
+        assert min(abs(root - x) for x in got) < 1e-7
+    for x in got:
+        assert min(abs(root - x) for root in want) < 1e-7
+
+
+def test_real_roots_simple_roots_are_exact_to_rounding():
+    got = spectrum._real_roots(_from_roots((-0.75, -0.1, 0.3, 0.85, 1.7)), -1.0, 1.0)
+    assert got == pytest.approx([-0.75, -0.1, 0.3, 0.85], rel=0.0, abs=1e-15)
+
+
+def test_real_roots_double_root_on_a_window_end():
+    # (x - 1)^2 (x + 0.5)(x - 0.2) on (-1, 1): the end is no root of the
+    # open window, and the derivative's root at 1 makes no extra cut.
+    got = spectrum._real_roots(_from_roots((1.0, 1.0, -0.5, 0.2)), -1.0, 1.0)
+    assert got == pytest.approx([-0.5, 0.2], rel=0.0, abs=1e-15)
+    assert spectrum._real_roots(_from_roots((1.0, 1.0, -0.5, 0.2)), -0.5, 1.0) == \
+        pytest.approx([0.2], rel=0.0, abs=1e-15)
+
+
+def test_real_roots_low_degree_and_zero_polynomials():
+    real_roots = spectrum._real_roots
+    assert real_roots([0.0, 0.0, 0.0], -1.0, 1.0) == []  # P == 0: no isolated root
+    assert real_roots([3.0], -1.0, 1.0) == []
+    assert real_roots([0.0, 0.0, 2.0, -1.0], -1.0, 1.0) == [0.5]  # leading zeros dropped
+    assert real_roots([2.0, -3.0], -1.0, 1.0) == []  # 1.5 lies outside
+    assert real_roots([1.0, 0.0, 1.0], -1.0, 1.0) == []  # complex pair
+    assert real_roots([1.0, 0.0, 0.0], -1.0, 1.0) == [0.0]  # double root at 0
+    assert real_roots([4.0, -4.0, 1.0], -1.0, 1.0) == [0.5, 0.5]
+    # Badly scaled: 1e-24 x^2 - x + 0.25.  The textbook formula cancels the
+    # small root to zero; the cancellation-free one keeps every digit.
+    (small,) = real_roots([1e-24, -1.0, 0.25], -1.0, 1.0)
+    assert small == 0.25
+
+
+def test_the_zero_polynomial_leaves_one_cell():
+    # With every coupling zero and n = 0, P vanishes identically; f = E^2 - m^2
+    # has no zero inside the window.
+    params = PotentialParams(m=1.0)
+    assert spectrum._sextic(params, 0) == [0.0] * 7
+    assert solve_levels(params, 0) == []
+
+
+def test_levels_scale_with_the_mass():
+    # E/m depends on m only through m*a1 and m*a2: with those fixed, the
+    # levels at m = 1e-60, where E^6 underflows, are the levels at m = 1, scaled.
+    unit = [lvl.energy for lvl in solve_levels(
+        PotentialParams(m=1.0, a1=0.1, b1=0.5, a2=0.05, b2=0.3), 1)]
+    assert len(unit) == 2
+    m = 1e-60
+    params = PotentialParams(m=m, a1=0.1 / m, b1=0.5, a2=0.05 / m, b2=0.3)
+    scaled = [lvl.energy / m for lvl in solve_levels(params, 1)]
+    assert scaled == pytest.approx(unit, rel=0.0, abs=1e-14)
+
+
+def test_overflowing_spectrum_equation_raises():
+    # f(E) ~ m^2 leaves the float range: no level can be resolved, and
+    # "no level" would be a wrong answer.
+    with pytest.raises(DomainError, match="overflows"):
+        solve_levels(PotentialParams(m=1e160, b1=0.5), 0)
