@@ -186,7 +186,8 @@ def _monotone_root(coefficients: list[float], a: float, b: float,
                    p_a: float, p_b: float) -> float:
     """The root of a polynomial monotone on [a, b] whose end values p_a, p_b
     differ in sign: Newton from the secant point, kept inside the shrinking
-    bracket by bisection, until its step falls to the rounding of x."""
+    bracket by bisection, until its step falls to the rounding of x or the
+    bracket does (where rounding noise in p keeps the step above it)."""
     tol = 4e-16 * max(abs(a), abs(b))
     x = a - p_a * (b - a) / (p_b - p_a)
     rising = p_a < 0.0
@@ -204,6 +205,8 @@ def _monotone_root(coefficients: list[float], a: float, b: float,
             a = x
         else:
             b = x
+        if b - a <= tol:
+            return x
         x -= step
         if not a < x < b:
             x = 0.5 * (a + b)
