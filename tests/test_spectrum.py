@@ -409,26 +409,23 @@ def _from_roots(roots, scale=1.0):
     return coefficients
 
 
-@pytest.mark.parametrize("roots", [
-    (-0.75, -0.1, 0.3, 0.85),
-    (-0.9, -0.45, 0.05, 0.2, 0.6, 0.95),
-    (-3.0, -0.5, 0.4, 2.5, 7.0),  # three roots outside (-1, 1)
-    (-0.2, 0.1, 0.1, 0.7),  # a double root inside is reported once or twice, never lost
+@pytest.mark.parametrize("roots, tolerance", [
+    ((-0.75, -0.1, 0.3, 0.85, 1.7), 1e-15),
+    ((-0.9, -0.45, 0.05, 0.2, 0.6, 0.95), 1e-15),
+    ((-3.0, -0.5, 0.4, 2.5, 7.0), 1e-15),  # three roots outside (-1, 1)
+    # A double root inside is reported once or twice, never lost, to about
+    # the square root of the rounding.
+    ((-0.2, 0.1, 0.1, 0.7), 1e-7),
 ])
-def test_real_roots_of_a_polynomial_built_from_its_roots(roots):
+def test_real_roots_of_a_polynomial_built_from_its_roots(roots, tolerance):
     got = spectrum._real_roots(_from_roots(roots, scale=-2.5), -1.0, 1.0)
     want = sorted(r for r in roots if -1.0 < r < 1.0)
     assert got == sorted(got)
     assert len(set(want)) <= len(got) <= len(want)
     for root in want:
-        assert min(abs(root - x) for x in got) < 1e-7
+        assert min(abs(root - x) for x in got) <= tolerance
     for x in got:
-        assert min(abs(root - x) for root in want) < 1e-7
-
-
-def test_real_roots_simple_roots_are_exact_to_rounding():
-    got = spectrum._real_roots(_from_roots((-0.75, -0.1, 0.3, 0.85, 1.7)), -1.0, 1.0)
-    assert got == pytest.approx([-0.75, -0.1, 0.3, 0.85], rel=0.0, abs=1e-15)
+        assert min(abs(root - x) for root in want) <= tolerance
 
 
 def test_real_roots_double_root_on_a_window_end():
