@@ -7,6 +7,8 @@ oracle bracket.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConvergenceError
 
 
@@ -20,8 +22,13 @@ def _next_trial(xs, gs, a: float, b: float, tol: float) -> float:
     last (Brent's bound on slow progress), and stays tol/4 inside the ends.
     A step shorter than tol/2 is lengthened to tol/2 towards the other end,
     so the bracket also collapses from the side the steps approach it from.
+    The g are first scaled by a power of two to a largest magnitude in
+    [1/2, 1): that leaves every interpolant's bits as they are, but keeps
+    products of two g from underflowing where g itself is tiny.
     """
-    (x0, x1, x2), (g0, g1, g2) = xs, gs
+    x0, x1, x2 = xs
+    _, exponent = math.frexp(max(abs(g) for g in gs))
+    g0, g1, g2 = (math.ldexp(g, -exponent) for g in gs)
     if g0 != g1 and g0 != g2 and g1 != g2:
         e = (x0 * g1 * g2 / ((g0 - g1) * (g0 - g2))
              + x1 * g0 * g2 / ((g1 - g0) * (g1 - g2))

@@ -61,9 +61,10 @@ CLOSED_FORM_CASES = (
 SERIES_CASES = ("pure_vector_series", "equal_series", "opposite_series")
 
 
-# A level is accepted when |f| < _ROOT_TOLERANCE at the end of its polished
-# bracket; _MAX_ITERATIONS caps the f(E) evaluations of one polish.  The
-# window excludes 1e-9*m at E = +-m, where f has a trivial or double zero.
+# A level is accepted when |f| < _ROOT_TOLERANCE * m^2 (f scales as m^2) at
+# the end of its polished bracket; _MAX_ITERATIONS caps the f(E) evaluations
+# of one polish.  The window excludes 1e-9*m at E = +-m, where f has a
+# trivial or double zero.
 _ROOT_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 200
 # Newton steps allowed to one root of a polynomial on a monotone interval.
@@ -262,9 +263,9 @@ def _roots(params, n) -> list[tuple[float, float, int]]:
     the bracketed search narrows to machine resolution, starting from the
     root of P in the cell (or from the cell's midpoint where rounding leaves
     P with no sign change).  The level must leave |f| below the root
-    tolerance, widened by what the change of s across its narrowed bracket
-    alone can move f: at s = 0 the slope of s is infinite, so a level there
-    leaves |f| far above the tolerance however narrow the bracket.
+    tolerance times m^2, widened by what the change of s across its narrowed
+    bracket alone can move f: at s = 0 the slope of s is infinite, so a level
+    there leaves |f| far above the tolerance however narrow the bracket.
     """
     window = _window(params)
     if window is None:
@@ -285,8 +286,11 @@ def _roots(params, n) -> list[tuple[float, float, int]]:
     for i in range(len(edges) - 1):
         a, b, f_a, f_b = edges[i], edges[i + 1], values[i], values[i + 1]
         # An exact zero is a level on its cell's left end, or on the window's
-        # top end, so a zero shared by two cells counts once.
-        has_level = f_a * f_b < 0.0 or f_a == 0.0 or (f_b == 0.0 and b == hi)
+        # top end, so a zero shared by two cells counts once.  The signs are
+        # compared, not multiplied: f ~ m^2, so f_a * f_b underflows to -0.0
+        # for m below ~1e-77.
+        has_level = (f_a < 0.0 < f_b or f_b < 0.0 < f_a
+                     or f_a == 0.0 or (f_b == 0.0 and b == hi))
         if not (a < b and has_level):
             continue
         p_a, p_b = _horner(sextic, a / m), _horner(sextic, b / m)
@@ -300,10 +304,11 @@ def _roots(params, n) -> list[tuple[float, float, int]]:
         # With k = 2*(m*b1 + E*b2) and N = 2n + 1, |df/ds| = 2k^2/(N + s)^3 <= 2k^2/N^3.
         k = 2.0 * (params.m * params.b1 + best_e * params.b2)
         s_share = 2.0 * k * k / (2.0 * n + 1.0) ** 3 * abs(_s_of(params, b) - _s_of(params, a))
-        if best_f >= _ROOT_TOLERANCE + s_share:
+        tolerance = _ROOT_TOLERANCE * m * m
+        if best_f >= tolerance + s_share:
             raise ConvergenceError(
                 f"|f| = {best_f} at E={best_e} is not below "
-                f"the root tolerance {_ROOT_TOLERANCE}"
+                f"the root tolerance {tolerance}"
             )
         roots.append((best_e, best_f, evaluations))
     return roots

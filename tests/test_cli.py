@@ -392,3 +392,26 @@ def test_spectrum_tolerance_warning_names_the_level_once(monkeypatch, capsys):
     assert code == 4
     assert err.startswith("WARN: level n=0: |f| = ")
     assert err.count("n=0") == 1
+
+
+@pytest.mark.parametrize("scale, scaled, reference", [
+    # f scales as m^2: at m = 100 |f| at the polished levels is ~2e-12.
+    (100.0, ("--m", "100", "--b1", "0.5", "--b2", "0.3", "--nmax", "1"),
+     ("--m", "1", "--b1", "0.5", "--b2", "0.3", "--nmax", "1")),
+    # At m = 1e-100, f ~ 1e-200 and a product of two f values underflows.
+    (1e-40, ("--m", "1e-100", "--a1", "1e99", "--b1", "0.5", "--a2", "5e98", "--b2", "0.3",
+             "--nmax", "0"),
+     ("--m", "1e-60", "--a1", "1e59", "--b1", "0.5", "--a2", "5e58", "--b2", "0.3",
+      "--nmax", "0")),
+])
+def test_spectrum_levels_scale_with_the_mass(capsys, scale, scaled, reference):
+    from kgkratzer import cli
+
+    levels = []
+    for args in (scaled, reference):
+        assert cli.main(["spectrum", *args, "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        levels.append([float(row.split(",")[2]) for row in rows])
+    assert len(levels[0]) == len(levels[1]) > 0
+    for level, reference_level in zip(*levels):
+        assert level == pytest.approx(scale * reference_level, rel=1e-13)
