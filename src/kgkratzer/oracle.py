@@ -16,6 +16,14 @@ outside the classically allowed region with the decaying seed, and match the
 two solutions at an interior radius.  Both sweep directions are
 dominance-stable, so seed truncation errors decay as the integration proceeds.
 
+Where U ~ q2/r^2 at the origin (q3 = q4 = 0), the regular solution is the
+convergent Frobenius series psi = r^p sum_j t_j, t_0 = 1, and the outward
+sweep starts from the summed series at the largest radius where a majorant
+of sum_(j>=1) |t_j|, taken over the whole energy bracket, is at most 1/2.
+Below it the series sums to at least 1/2 at every energy of the bracket, so
+psi has no node there and the node count of the sweep is the count from the
+origin.
+
 The match is indexed by the Pruefer angle theta = atan2(psi, psi'), which
 grows by pi across every node.  On a fixed geometry the mismatch
 Delta(E) = (theta_out - theta_in)/pi at the matching radius is continuous in
@@ -28,8 +36,10 @@ finder on Delta - n converges to it without a scan.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ._radial import STATUS_OK, sweep, u_eval
 from ._search import bracketed_search
@@ -90,22 +100,23 @@ class DeviationReport:
 @dataclass(frozen=True)
 class _Domain:
     r_min: float
+    r_start: float
     r_match: float
     r_max: float
 
 
-def _outward_seed(params: PotentialParams, energy: float, r_min: float):
-    """(psi, dpsi) of the regular solution at r_min, up to overall scale."""
+def _outward_seed(params: PotentialParams, energy: float, r: float):
+    """(psi, dpsi) of the regular solution at r, up to overall scale."""
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
     origin_guard(q2, q3, q4)
     if q4 > 0.0:
         a_u = math.sqrt(q4)
         power = 1.0 + q3 / (2.0 * a_u)
-        log_deriv = a_u / (r_min * r_min) + power / r_min
+        log_deriv = a_u / (r * r) + power / r
     elif q3 > 0.0:
-        log_deriv = 0.75 / r_min + math.sqrt(q3) / r_min ** 1.5
+        log_deriv = 0.75 / r + math.sqrt(q3) / r ** 1.5
     else:
-        log_deriv = _origin_log_deriv(kappa2, q1, q2, r_min)
+        log_deriv = _origin_log_deriv(kappa2, q1, q2, r)
     return 1.0, log_deriv
 
 
@@ -162,8 +173,67 @@ def _tail_log_deriv(kappa, q1, q2, q3, q4, r):
     return -kappa + (sigma + r_slope / total) / r
 
 
-def _domain(params: PotentialParams, energy: float) -> _Domain:
-    """Fix the integration radii at one reference E."""
+def _start_radius(params: PotentialParams, lo: float, hi: float,
+                  r_min: float, r_match: float) -> float:
+    """Radius in [r_min, r_match] below which psi has no node at any E in
+    [lo, hi], when U ~ q2/r^2 at the origin.
+
+    The terms t_j of the series that _origin_log_deriv sums obey
+    |t_j| <= T_j, where T_j follows the same recurrence with |q1| and kappa2
+    at their largest over the bracket and p at its smallest (T_0 = 1).  Every
+    T_j rises with r, so where sum_(j>=1) T_j <= 1/2 the series sums to at
+    least 1/2 at every smaller radius and every energy of the bracket:
+    psi = r^p * sum has no node there, and the sum loses only a few ulps to
+    rounding.  The radius returned is the largest such one, bisected in
+    log r to 1%.
+    """
+    _, q1_lo, q2_lo, _, _ = u_series(params, lo)
+    _, q1_hi, q2_hi, _, _ = u_series(params, hi)
+    q1 = max(abs(q1_lo), abs(q1_hi))
+    e_near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    kappa2 = params.m * params.m - e_near * e_near
+    two_p = 1.0 + 2.0 * math.sqrt(max(0.25 + min(q2_lo, q2_hi), 0.0))
+
+    def node_free(r: float) -> bool:
+        t1, t2 = 1.0, 0.0  # T_(j-1), T_(j-2)
+        total = 0.0        # sum of T_j for j >= 1
+        j = 1
+        while True:
+            t = (q1 * t1 + kappa2 * r * t2) * r / (j * (two_p + j - 1.0))
+            total += t
+            if total > 0.5:
+                return False
+            if t + t1 <= _EPS * total:
+                return True
+            t1, t2 = t, t1
+            j += 1
+
+    if node_free(r_match):
+        return r_match
+    if not node_free(r_min):
+        return r_min
+    inner, outer = r_min, r_match
+    while outer > 1.01 * inner:
+        middle = math.sqrt(inner * outer)
+        if node_free(middle):
+            inner = middle
+        else:
+            outer = middle
+    return inner
+
+
+def _domain(params: PotentialParams, lo: float, hi: float | None = None) -> _Domain:
+    """Fix the integration radii for the energy bracket [lo, hi], or for the
+    one energy lo.
+
+    r_min, r_match and r_max come from U at the bracket's centre.  Where
+    U ~ q2/r^2 at the origin, the outward sweep starts at r_start, below
+    which no energy of the bracket has a node (_start_radius); elsewhere it
+    starts at r_min.
+    """
+    if hi is None:
+        hi = lo
+    energy = 0.5 * (lo + hi)
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
     if kappa2 <= 0.0:
         raise DomainError(f"shooting needs E^2 < m^2, got E={energy}, m={params.m}")
@@ -191,12 +261,11 @@ def _domain(params: PotentialParams, energy: float) -> _Domain:
 
     # Matching radius: geometric middle of the classically allowed region,
     # where both shooting solutions are large and the Wronskian is best
-    # conditioned; fall back to the (clamped) minimum of U if U >= 0.  Plain
-    # floats, not numpy scalars, go on into the sweeps and the results.  numpy
-    # is imported here, not at load, so that commands without the oracle skip it.
-    import numpy as np
-
-    radii = np.geomspace(max(r_min, 1e-12), r_max, 600).tolist()
+    # conditioned; fall back to the (clamped) minimum of U if U >= 0.  The
+    # 600 radii of the search are spaced geometrically from r_min to r_max.
+    r_grid = max(r_min, 1e-12)
+    step = (r_max / r_grid) ** (1.0 / 599.0)
+    radii = list(accumulate([step] * 599, operator.mul, initial=r_grid))
     u_vals = [u_eval(kappa2, q1, q2, q3, q4, r) for r in radii]
     negative = [i for i, u in enumerate(u_vals) if u < 0.0]
     if negative:
@@ -207,7 +276,10 @@ def _domain(params: PotentialParams, energy: float) -> _Domain:
         r_match = radii[min(range(len(radii)), key=u_vals.__getitem__)]
     r_match = min(max(r_match, 4.0 * r_min), 0.25 * r_max)
 
-    return _Domain(r_min=r_min, r_match=r_match, r_max=r_max)
+    r_start = r_min
+    if q3 == 0.0 and q4 == 0.0:
+        r_start = _start_radius(params, lo, hi, r_min, r_match)
+    return _Domain(r_min=r_min, r_start=r_start, r_match=r_match, r_max=r_max)
 
 
 def _defect_on_domain(params, energy, dom: _Domain):
@@ -226,11 +298,11 @@ def _defect_on_domain(params, energy, dom: _Domain):
 
     # Each sweep may step across its whole span: the error controller alone
     # sets the step.
-    y0, log_deriv = _outward_seed(params, energy, dom.r_min)
+    y0, log_deriv = _outward_seed(params, energy, dom.r_start)
     y_out, dy_out, nodes_out, status_out, _ = sweep(
         kappa2, q1, q2, q3, q4,
-        dom.r_min, dom.r_match, y0, log_deriv * y0,
-        dom.r_match - dom.r_min, _RTOL, _MAX_STEPS,
+        dom.r_start, dom.r_match, y0, log_deriv * y0,
+        dom.r_match - dom.r_start, _RTOL, _MAX_STEPS,
     )
     if status_out != STATUS_OK:
         raise ConvergenceError(
@@ -338,6 +410,19 @@ def _converge(params, n, dom, a, b, g_a, g_b, evaluations):
     )
 
 
+def _shared_span(params, brackets, lo, hi):
+    """The energies searched on the geometry of the first of ``brackets``,
+    clipped to [lo, hi]: the unclipped brackets that follow an unclipped
+    one share its geometry (see _search), so its start radius must hold
+    on the widest of them too."""
+    if (lo, hi) == brackets[0]:
+        for wider in brackets[1:]:
+            if _clip(params, wider) != wider:
+                break
+            lo, hi = min(lo, wider[0]), max(hi, wider[1])
+    return lo, hi
+
+
 def _search(params, n, brackets) -> ShootingResult | None:
     """The n-node level in the first of ``brackets`` that holds it, or None.
 
@@ -352,12 +437,12 @@ def _search(params, n, brackets) -> ShootingResult | None:
     """
     evaluations = 0
     empty = None  # (lo, hi, Delta - n at lo and hi) of an empty bracket on dom
-    for centred in brackets:
+    for i, centred in enumerate(brackets):
         lo, hi = _clip(params, centred)
         if empty is None or (lo, hi) != centred:
             # A clipped bracket has its own centre, so its own geometry.
             empty = None
-            dom = _domain(params, 0.5 * (lo + hi))
+            dom = _domain(params, *_shared_span(params, brackets[i:], lo, hi))
         g_lo = _defect_on_domain(params, lo, dom)[2] - n
         g_hi = _defect_on_domain(params, hi, dom)[2] - n
         evaluations += 2

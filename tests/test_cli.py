@@ -222,8 +222,8 @@ def test_config_integer_with_a_fraction_exit_2(tmp_path):
 
 
 def test_commands_without_the_oracle_never_import_numpy():
-    # numpy serves only the oracle's radius grid and verify's residual suite,
-    # so every other command runs without loading it.
+    # numpy serves only verify's residual suite, so every other command,
+    # the oracle included, runs without loading it.
     script = """
 import contextlib, io, sys
 import kgkratzer.cli as cli
@@ -235,13 +235,14 @@ for argv in (
     ["wavefunction", *couplings, "--e", "auto", "--rmin", "0.1", "--rmax", "20",
      "--points", "5"],
     ["energy", *couplings, "--n", "0", "--method", "closed:equal"],
+    ["energy", *couplings, "--n", "0", "--compare", "oracle"],
     ["verify", "--suite", "limits"],
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["energy", *couplings, "--n", "0", "--compare", "oracle"]) == 0
+    assert cli.main(["verify", "--suite", "residuals", "--cases", "2"]) == 0
 assert "numpy" in sys.modules
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

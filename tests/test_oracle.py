@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -191,7 +192,7 @@ def test_eigensolve_clips_a_supercritical_bracket_end():
 
 
 def _count_oracle_work(monkeypatch):
-    counts = {"defects": 0, "sweeps": 0, "steps": 0}
+    counts = {"defects": 0, "sweeps": 0, "steps": 0, "outward_sweeps": 0, "outward_steps": 0}
     defect_on_domain, sweep = oracle._defect_on_domain, oracle.sweep
 
     def counted_defect(*args):
@@ -202,6 +203,10 @@ def _count_oracle_work(monkeypatch):
         result = sweep(*args)
         counts["sweeps"] += 1
         counts["steps"] += result[4]
+        r0, r1 = args[5], args[6]
+        if r1 >= r0:  # the outward sweep, empty where it starts at r_match
+            counts["outward_sweeps"] += 1
+            counts["outward_steps"] += result[4]
         return result
 
     monkeypatch.setattr(oracle, "_defect_on_domain", counted_defect)
@@ -303,8 +308,8 @@ def test_flat_zero_of_the_mismatch_still_converges(monkeypatch):
 
 
 @pytest.mark.parametrize("params, bracket, energy, evaluations", [
-    (EQUAL, (0.55, 0.65), 0.5999999999832353, 5),
-    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.832351819774584, 11),
+    (EQUAL, (0.55, 0.65), 0.5999999999818589, 5),
+    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197756304, 11),
 ])
 def test_eigensolve_trial_sequence_is_pinned(params, bracket, energy, evaluations):
     # Exact energies and evaluation counts of the midpoint-first Brent search;
@@ -362,3 +367,90 @@ def test_widened_bracket_reuses_the_inner_ends(monkeypatch):
     assert report.shooting.defect_evaluations == len(energies)
     # Four bracket ends, then only the outer shell above the inner bracket.
     assert min(energies[4:]) > max(energies[:2])
+
+
+def _seeded_brackets():
+    """Subcritical brackets on the Coulomb plane and on both manifolds, with
+    q2 = b1^2 - b2^2 near -1/4 and with |q1| >= 5 among them."""
+    rng = random.Random(15)
+    cases = []
+    for _ in range(12):
+        m = rng.uniform(0.5, 2.0)
+        b1 = rng.uniform(0.1, 1.0)
+        b2 = rng.uniform(-1.0, 1.0) * math.sqrt(b1 * b1 + 0.24)
+        cases.append(PotentialParams(m=m, b1=b1, b2=b2))
+    for sign in (1.0, -1.0):
+        for _ in range(4):
+            a, b = rng.uniform(0.0, 0.7), rng.uniform(0.3, 0.7)
+            cases.append(PotentialParams(m=rng.uniform(0.5, 2.0), a1=a, b1=b,
+                                         a2=sign * a, b2=sign * b))
+    for q2 in (-0.24, -0.249, -0.2499):
+        cases.append(PotentialParams(m=1.0, b1=0.4, b2=math.sqrt(0.16 - q2)))
+    cases.append(PotentialParams(m=1.0, b1=3.0, b2=2.9))      # |q1| ~ 6
+    cases.append(PotentialParams(m=2.0, b1=2.5, b2=-2.45))    # |q1| ~ 10
+    brackets = []
+    for params in cases:
+        m = params.m
+        centre = rng.uniform(-0.95, 0.95) * m
+        half = rng.uniform(0.01, 0.5) * m
+        try:
+            brackets.append((params, oracle._clip(params, (centre - half, centre + half))))
+        except FallToCenterError:
+            continue
+    return brackets
+
+
+def _origin_series_excess(kappa2, q1, q2, r):
+    """sum_(j>=1) |t_j| of the regular origin series 1 + sum t_j at r, with
+    j (2p + j - 1) t_j = (q1 t_(j-1) + kappa2 r t_(j-2)) r."""
+    p = 0.5 + math.sqrt(0.25 + q2)
+    t1, t2, total = 1.0, 0.0, 0.0
+    for j in range(1, 400):
+        t = (q1 * t1 + kappa2 * r * t2) * r / (j * (2.0 * p + j - 1.0))
+        total += abs(t)
+        t1, t2 = t, t1
+    return total
+
+
+@pytest.mark.parametrize("params, bracket", _seeded_brackets())
+def test_no_node_below_the_start_radius(params, bracket):
+    # The outward sweep starts at r_start from the summed origin series.  At
+    # each end of the bracket its terms past the first sum to at most 1/2 in
+    # magnitude, a sweep from r_min to r_start meets no node, and it arrives
+    # with the series' log derivative.
+    dom = oracle._domain(params, *bracket)
+    assert dom.r_min < dom.r_start <= dom.r_match
+    for energy in bracket:
+        kappa2, q1, q2, q3, q4 = oracle.u_series(params, energy)
+        assert q3 == q4 == 0.0
+        assert _origin_series_excess(kappa2, q1, q2, dom.r_start) <= 0.5
+        _, log_deriv = oracle._outward_seed(params, energy, dom.r_min)
+        y, dy, nodes, status, _ = oracle.sweep(
+            kappa2, q1, q2, q3, q4, dom.r_min, dom.r_start, 1.0, log_deriv,
+            dom.r_start - dom.r_min, 1e-12, 200_000)
+        assert status == 0
+        assert nodes == 0
+        series = oracle._origin_log_deriv(kappa2, q1, q2, dom.r_start)
+        assert dy / y == pytest.approx(series, rel=1e-9)
+
+
+def test_outward_sweeps_start_past_the_origin_series(monkeypatch):
+    # From r_min ~ 6e-4 the outward sweep took ~135 steps; the series covers
+    # all but the last stretch before the matching radius.
+    counts = _count_oracle_work(monkeypatch)
+    deviation_report(PotentialParams(m=1.0, b1=0.8, b2=-0.2), 0)
+    assert counts["outward_steps"] / counts["outward_sweeps"] <= 40
+
+
+def test_coulomb_plane_levels_over_seeded_sets():
+    rng = random.Random(60)
+    worst = 0.0
+    for _ in range(60):
+        m = rng.uniform(0.5, 2.0)
+        b1 = rng.uniform(0.1, 1.0)
+        b2 = rng.uniform(-1.0, 1.0) * math.sqrt(b1 * b1 + 0.2)
+        n = rng.randrange(3)
+        report = deviation_report(PotentialParams(m=m, b1=b1, b2=b2), n)
+        assert report.shooting.node_count == n
+        worst = max(worst, abs(report.oracle_energy - coulomb_plane_exact(b1, b2, n, m)) / m)
+    assert worst <= 1e-10
