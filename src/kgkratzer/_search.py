@@ -26,9 +26,10 @@ def _next_trial(xs, gs, a: float, b: float, tol: float) -> float:
     [1/2, 1): that leaves every interpolant's bits as they are, but keeps
     products of two g from underflowing where g itself is tiny.
     """
-    x0, x1, x2 = xs
-    _, exponent = math.frexp(max(abs(g) for g in gs))
-    g0, g1, g2 = (math.ldexp(g, -exponent) for g in gs)
+    (x0, x1, x2), (g0, g1, g2) = xs, gs
+    _, exponent = math.frexp(max(abs(g0), abs(g1), abs(g2)))
+    g0, g1, g2 = (math.ldexp(g0, -exponent), math.ldexp(g1, -exponent),
+                  math.ldexp(g2, -exponent))
     if g0 != g1 and g0 != g2 and g1 != g2:
         e = (x0 * g1 * g2 / ((g0 - g1) * (g0 - g2))
              + x1 * g0 * g2 / ((g1 - g0) * (g1 - g2))
