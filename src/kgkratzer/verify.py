@@ -58,13 +58,13 @@ def sample_admissible(rng: random.Random, max_tries: int = 1000):
 
 
 def _sample_grid(params, energy, points: int = 50):
-    # numpy's grid fixes the golden file's bytes; importing it here, not at
-    # load, spares every command but this suite the import.
-    import numpy as np
-
+    """``points`` radii spaced geometrically from 1e-2 to 1e2 times the chi
+    peak, the last one exactly 1e2 times the peak."""
     coeffs = derived_coefficients(params, energy)
     peak = chi_peak_radius(coeffs.c, coeffs.k)
-    return np.geomspace(1e-2 * peak, 1e2 * peak, points)
+    lo, hi = 1e-2 * peak, 1e2 * peak
+    ratio = (hi / lo) ** (1.0 / (points - 1))
+    return [lo * ratio ** i for i in range(points - 1)] + [hi]
 
 
 def _susy_identity_worst(params, energy, radii) -> float:

@@ -10,8 +10,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from kgkratzer import (
     PotentialParams,
     approx_energy,
@@ -21,7 +19,7 @@ from kgkratzer import (
     residual_report,
     solve_levels,
 )
-from kgkratzer.verify import _closed_form_backsub_worst, sample_admissible
+from kgkratzer.verify import _closed_form_backsub_worst, _sample_grid, sample_admissible
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_residuals_seed7.json"
 SEED = 20260808
@@ -36,17 +34,8 @@ def _random_reports(seed=SEED, cases=N_SETS, points=50):
     rng = random.Random(seed)
     for _ in range(cases):
         params, energy = sample_admissible(rng)
-        radii = _grid(params, energy, points)
+        radii = _sample_grid(params, energy, points)
         yield params, energy, residual_report(params, energy, radii)
-
-
-def _grid(params, energy, points):
-    from kgkratzer.model import derived_coefficients
-    from kgkratzer.wavefunction import chi_peak_radius
-
-    coeffs = derived_coefficients(params, energy)
-    peak = chi_peak_radius(coeffs.c, coeffs.k)
-    return np.geomspace(1e-2 * peak, 1e2 * peak, points)
 
 
 def test_criterion_01_chi_identity():
@@ -83,7 +72,7 @@ def test_criterion_03_composite_factorization():
         if not roots:
             continue
         energy = roots[-1].energy
-        report = residual_report(params, energy, _grid(params, energy, 30))
+        report = residual_report(params, energy, _sample_grid(params, energy, 30))
         worst = max(worst, report.composite_factorization_max)
         tested += 1
     ok = tested >= 300 and worst < 1e-8
