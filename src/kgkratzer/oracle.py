@@ -10,6 +10,12 @@ so every local index (origin power, decay rates, turning points) is recomputed
 from U itself.  Nothing here consumes the closed-form coefficients of the
 analytic spectrum: this module has to be able to falsify them.
 
+The oracle solves in units of m.  With rho = m r and epsilon = E/m,
+U(r) = m^2 U_1(rho), where U_1 is U for the couplings (1, a1 m, b1, a2 m, b2),
+so psi'' = U psi in r is psi'' = U_1 psi in rho.  Every radius, energy and
+tolerance below is one of the reduced problem; only the level found and its
+bracket are multiplied back by m.
+
 Eigenvalues are located by two-sided shooting: integrate outward from near the
 origin with the asymptotic seed of the regular solution, inward from far
 outside the classically allowed region with the decaying seed, and match the
@@ -38,7 +44,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from ._radial import STATUS_OK, sweep, u_eval
@@ -95,6 +101,12 @@ class DeviationReport:
     deviation: float
     analytic_level: EnergyLevel
     shooting: ShootingResult
+
+
+def _in_units_of_m(params: PotentialParams) -> PotentialParams:
+    """The same problem with radii in units of 1/m and energies in units of m."""
+    m = params.m
+    return PotentialParams(1.0, params.a1 * m, params.b1, params.a2 * m, params.b2)
 
 
 @dataclass(frozen=True)
@@ -191,7 +203,7 @@ def _start_radius(params: PotentialParams, lo: float, hi: float,
     _, q1_hi, q2_hi, _, _ = u_series(params, hi)
     q1 = max(abs(q1_lo), abs(q1_hi))
     e_near = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    kappa2 = params.m * params.m - e_near * e_near
+    kappa2 = 1.0 - e_near * e_near
     two_p = 1.0 + 2.0 * math.sqrt(max(0.25 + min(q2_lo, q2_hi), 0.0))
 
     def node_free(r: float) -> bool:
@@ -222,21 +234,18 @@ def _start_radius(params: PotentialParams, lo: float, hi: float,
     return inner
 
 
-def _domain(params: PotentialParams, lo: float, hi: float | None = None) -> _Domain:
-    """Fix the integration radii for the energy bracket [lo, hi], or for the
-    one energy lo.
+def _domain(params: PotentialParams, lo: float, hi: float) -> _Domain:
+    """Fix the integration radii for the energy bracket [lo, hi].
 
     r_min, r_match and r_max come from U at the bracket's centre.  Where
     U ~ q2/r^2 at the origin, the outward sweep starts at r_start, below
     which no energy of the bracket has a node (_start_radius); elsewhere it
     starts at r_min.
     """
-    if hi is None:
-        hi = lo
     energy = 0.5 * (lo + hi)
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
     if kappa2 <= 0.0:
-        raise DomainError(f"shooting needs E^2 < m^2, got E={energy}, m={params.m}")
+        raise DomainError(f"shooting needs E^2 < m^2, got E/m={energy}")
     origin_guard(q2, q3, q4)
     kappa = math.sqrt(kappa2)
 
@@ -293,7 +302,7 @@ def _defect_on_domain(params, energy, dom: _Domain):
     """
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
     if kappa2 <= 0.0:
-        raise DomainError(f"shooting needs E^2 < m^2, got E={energy}")
+        raise DomainError(f"shooting needs E^2 < m^2, got E/m={energy}")
     kappa = math.sqrt(kappa2)
 
     # Each sweep may step across its whole span: the error controller alone
@@ -334,7 +343,9 @@ def kg_match_defect(params: PotentialParams, energy: float) -> tuple[float, int]
     eigenvalue; the node count is the number of interior zeros of the
     outward/inward composite solution.
     """
-    dom = _domain(params, energy)
+    energy /= params.m
+    params = _in_units_of_m(params)
+    dom = _domain(params, energy, energy)
     defect, nodes, _ = _defect_on_domain(params, energy, dom)
     return defect, nodes
 
@@ -350,11 +361,10 @@ def _subcritical_bracket(params: PotentialParams, lo: float, hi: float):
     q2_hi = u_series(params, hi)[2]
     if q4 == 0.0 and q3 == 0.0 and (q2_lo > -0.25) != (q2_hi > -0.25):
         e_critical = lo + (-0.25 - q2_lo) * (hi - lo) / (q2_hi - q2_lo)
-        margin = 1e-9 * params.m
         if q2_lo > -0.25:
-            hi = e_critical - margin
+            hi = e_critical - 1e-9
         else:
-            lo = e_critical + margin
+            lo = e_critical + 1e-9
         if not lo < hi:
             raise FallToCenterError(
                 f"inverse-square coefficient <= -1/4 at the origin for all of "
@@ -369,17 +379,16 @@ _MAX_REFINEMENTS = 200
 
 
 def _clip(params: PotentialParams, bracket: tuple[float, float]) -> tuple[float, float]:
-    """Clip a bracket to (-m, m) less 1e-9*m and to subcritical energies."""
-    m = params.m
-    lo = max(min(bracket), -m + 1e-9 * m)
-    hi = min(max(bracket), m - 1e-9 * m)
+    """Clip a bracket to (-1, 1) less 1e-9 and to subcritical energies."""
+    lo = max(min(bracket), -1.0 + 1e-9)
+    hi = min(max(bracket), 1.0 - 1e-9)
     if not lo < hi:
-        raise DomainError(f"bracket {bracket} does not intersect (-m, m)")
+        raise DomainError(f"bracket {bracket} (in units of m) does not intersect (-1, 1)")
     return _subcritical_bracket(params, lo, hi)
 
 
 def _converge(params, n, dom, a, b, g_a, g_b, evaluations):
-    """Narrow the sign change of Delta - n on [a, b] to 1e-8*m, starting at
+    """Narrow the sign change of Delta - n on [a, b] to 1e-8, starting at
     the midpoint (callers centre their brackets on their estimate of the
     level), and check the node count of the level found.
 
@@ -391,7 +400,7 @@ def _converge(params, n, dom, a, b, g_a, g_b, evaluations):
         return _defect_on_domain(params, e, dom)[2] - n
 
     a, b, g_a, g_b, trials = bracketed_search(
-        excess, a, b, g_a, g_b, 0.5 * (a + b), 1e-8 * params.m, _MAX_REFINEMENTS)
+        excess, a, b, g_a, g_b, 0.5 * (a + b), 1e-8, _MAX_REFINEMENTS)
 
     # Across the final bracket Delta is linear to far below its width.
     e_star = a if a == b else a - g_a * (b - a) / (g_b - g_a)
@@ -433,8 +442,12 @@ def _search(params, n, brackets) -> ShootingResult | None:
     antiparticle side), so only the sign change is used, not its direction.
     A bracket with the same centre as the empty one before it keeps that
     bracket's geometry and end values and searches only the outer shell that
-    holds the sign change.
+    holds the sign change.  The search runs in units of m (see the module
+    docstring); the level and its bracket are returned in the caller's units.
     """
+    m = params.m
+    params = _in_units_of_m(params)
+    brackets = [(lo / m, hi / m) for lo, hi in brackets]
     evaluations = 0
     empty = None  # (lo, hi, Delta - n at lo and hi) of an empty bracket on dom
     for i, centred in enumerate(brackets):
@@ -456,7 +469,9 @@ def _search(params, n, brackets) -> ShootingResult | None:
                     b, g_b = in_lo, g_in_lo
                 else:
                     a, g_a = in_hi, g_in_hi
-            return _converge(params, n, dom, a, b, g_a, g_b, evaluations)
+            result = _converge(params, n, dom, a, b, g_a, g_b, evaluations)
+            a, b = result.bracket
+            return replace(result, energy=m * result.energy, bracket=(m * a, m * b))
         if (lo, hi) == centred:
             empty = (lo, hi, g_lo, g_hi)
     return None

@@ -117,6 +117,17 @@ def test_energy_compare_oracle_reports_deviation():
     assert float(doc["results"]["deviation"]) < 1e-5
 
 
+def test_energy_compare_oracle_at_a_large_mass():
+    result = run_cli(
+        "energy", "--m", "1e60", "--b1", "0.5", "--b2", "0.3", "--n", "0",
+        "--compare", "oracle",
+    )
+    assert result.returncode == 0, result.stderr
+    # The exact Coulomb-plane level is 0.76794776677... m.
+    doc = json.loads(result.stdout)
+    assert float(doc["results"]["E_oracle"]) == pytest.approx(7.679477667701e59, rel=1e-10)
+
+
 def test_wavefunction_table_auto_energy():
     result = run_cli(
         "wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5",

@@ -197,7 +197,7 @@ def test_supercritical_origin_is_inadmissible():
     assert not report.origin_subcritical
     assert report.overall == "inadmissible"
     with pytest.raises(FallToCenterError) as guard:
-        oracle._domain(params, level.energy)
+        oracle._domain(params, level.energy, level.energy)
     assert report.reasons == (str(guard.value),)
 
 
@@ -223,7 +223,7 @@ def test_admissible_verdict_means_the_oracle_can_start_at_the_origin():
         params = PotentialParams(m=m, a1=a1, b1=b1, a2=a2, b2=b2)
         energy = fraction * m
         if admissibility(params, energy).overall in ("admissible", "boundary"):
-            oracle._domain(params, energy)
+            oracle._domain(params, energy, energy)
 
     check()
 

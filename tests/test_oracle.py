@@ -140,6 +140,17 @@ def test_oracle_matches_exact_levels_off_the_manifolds(b1, b2):
         assert report.shooting.node_count == n
 
 
+@pytest.mark.parametrize("m", [10.0 ** k for k in range(-60, 61, 10)])
+def test_oracle_level_holds_at_every_mass_scale(m):
+    # The oracle solves in units of m, so its precision is a fraction of m
+    # at every scale.
+    report = deviation_report(PotentialParams(m=m, b1=0.5, b2=0.3), 0)
+    assert abs(report.oracle_energy - coulomb_plane_exact(0.5, 0.3, 0, m)) <= 1e-10 * m
+    assert report.shooting.node_count == 0
+    lo, hi = report.shooting.bracket
+    assert lo <= report.oracle_energy <= hi
+
+
 def test_pruefer_mismatch_is_the_node_index():
     # Delta - n changes sign across the n-node level, rising with E where
     # E > V_V (equal manifold) and falling where E < V_V (opposite manifold).
@@ -147,7 +158,7 @@ def test_pruefer_mismatch_is_the_node_index():
         for n in range(3):
             nu2 = (n + 1.0) ** 2
             level = sign * (nu2 - 0.25) / (nu2 + 0.25)
-            dom = oracle._domain(params, level)
+            dom = oracle._domain(params, level, level)
             _, _, below = oracle._defect_on_domain(params, level - 1e-3, dom)
             _, nodes, at = oracle._defect_on_domain(params, level, dom)
             _, _, above = oracle._defect_on_domain(params, level + 1e-3, dom)
@@ -389,11 +400,13 @@ def _seeded_brackets():
     # Across (-m, m), |q1| = 2|m*b1 + E*b2| runs up to 11.8 and 19.8 on these two.
     cases.append(PotentialParams(m=1.0, b1=3.0, b2=2.9))
     cases.append(PotentialParams(m=2.0, b1=2.5, b2=-2.45))
+    # In units of m, as the oracle solves them.
     brackets = []
     for params in cases:
-        centre = rng.uniform(-0.95, 0.95) * params.m
-        half = rng.uniform(0.01, 0.5) * params.m
-        brackets.append((params, oracle._clip(params, (centre - half, centre + half))))
+        unit = oracle._in_units_of_m(params)
+        centre = rng.uniform(-0.95, 0.95)
+        half = rng.uniform(0.01, 0.5)
+        brackets.append((unit, oracle._clip(unit, (centre - half, centre + half))))
     return brackets
 
 
