@@ -2,7 +2,15 @@
 
 import math
 
-from kgkratzer._radial import STATUS_OK, STATUS_STEP_BUDGET, kernel_backend, sweep
+import pytest
+
+from kgkratzer._radial import (
+    STATUS_OK,
+    STATUS_STEP_BUDGET,
+    STATUS_STEP_UNDERFLOW,
+    kernel_backend,
+    sweep,
+)
 
 # U-series for the equal-coupling reference problem at E = 0.58.
 REF = dict(kappa2=1.0 - 0.58 ** 2, q1=-2.0 * (0.5 + 0.58 * 0.5), q2=0.0, q3=0.0, q4=0.0)
@@ -50,6 +58,17 @@ def test_step_budget_status():
     assert steps == 10
 
 
+def test_overflowing_stages_shrink_the_step():
+    # With U = 1e200 the stages of every step longer than ~1e-100 overflow to
+    # inf or NaN: each such step is rejected, never accepted with a NaN.
+    y, dy, nodes, status, steps = _sweep_with(
+        kappa2=1e200, q1=0.0, r0=1.0, r1=2.0, y=1.0, dy=0.0,
+        h_max=1.0, rtol=1e-10, max_steps=1000,
+    )
+    assert status == STATUS_STEP_UNDERFLOW
+    assert (y, dy, nodes, steps) == (1.0, 0.0, 0, 0)
+
+
 def test_active_backend_reported():
     assert kernel_backend() == "python"
 
@@ -86,11 +105,39 @@ def _pinned_sweeps():
 
 
 def test_python_kernel_pinned_bitwise():
-    # Exact (psi, dpsi, nodes, status, steps) of the kernel as first
+    # Exact (psi, dpsi, nodes, status, steps) of the DOP853 kernel as
     # recorded: a rewrite of the inner loop must reproduce every bit.
     assert _pinned_sweeps() == (
-        (-3142471041181313.5, -527788297998886.06, 1, STATUS_OK, 1017),
-        (-21027338588789.23, 528783839872909.25, 3, STATUS_OK, 1153),
-        (6.869042332413264e+32, 1.373808466482653e+33, 0, STATUS_OK, 8030),
-        (5.119461281290585, 993.4858981159606, 0, STATUS_STEP_BUDGET, 10),
+        (-3142471041538737.5, -527788298058168.5, 1, STATUS_OK, 482),
+        (-21027338615778.047, 528783839917290.3, 3, STATUS_OK, 1009),
+        (5.304623382175016e+32, 1.0609246764350033e+33, 0, STATUS_OK, 1152),
+        (7.672843150917424, 989.4424355790836, 0, STATUS_STEP_BUDGET, 10),
     )
+
+
+def _oscillator_error(h_max):
+    # psi'' = -psi from r = 1 to 5; rtol = 1e3 accepts every step, so h_max
+    # alone sets the steps after the first few.
+    y, dy, _, status, _ = sweep(-1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 5.0, math.sin(1.0),
+                                math.cos(1.0), h_max, 1e3, 10 ** 6)
+    assert status == STATUS_OK
+    return max(abs(y - math.sin(5.0)), abs(dy - math.cos(5.0)))
+
+
+def test_halving_the_step_shows_eighth_order():
+    # An 8th-order step shrinks the end error by ~2^8 when its step halves;
+    # a 5th-order one by ~2^5.  One mistyped coefficient drops the order.
+    assert _oscillator_error(0.4) >= 2 ** 7 * _oscillator_error(0.2)
+
+
+@pytest.mark.parametrize("k", [0.5, 3.7, 50.0, 200.0])
+@pytest.mark.parametrize("phase", [0.4, 1.9, 2.9])
+@pytest.mark.parametrize("r0, r1", [(1.0, 11.0), (11.0, 1.0)])
+def test_node_count_of_a_free_wave(k, phase, r0, r1):
+    # With U = -k^2, psi = sin(k (r - r0) + phase), and the sweep must count
+    # every zero between r0 and r1 however few steps it takes.
+    _, _, nodes, status, _ = sweep(-k * k, 0.0, 0.0, 0.0, 0.0, r0, r1, math.sin(phase),
+                                   k * math.cos(phase), abs(r1 - r0), 1e-10, 10 ** 6)
+    end = phase + k * (r1 - r0)
+    assert status == STATUS_OK
+    assert nodes == abs(math.floor(end / math.pi) - math.floor(phase / math.pi))

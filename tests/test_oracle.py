@@ -319,8 +319,8 @@ def test_flat_zero_of_the_mismatch_still_converges(monkeypatch):
 
 
 @pytest.mark.parametrize("params, bracket, energy, evaluations", [
-    (EQUAL, (0.55, 0.65), 0.5999999999818589, 5),
-    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197756304, 11),
+    (EQUAL, (0.55, 0.65), 0.5999999999981712, 5),
+    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197762443, 11),
 ])
 def test_eigensolve_trial_sequence_is_pinned(params, bracket, energy, evaluations):
     # Exact energies and evaluation counts of the midpoint-first Brent search;
@@ -348,6 +348,21 @@ def test_series_seeded_tail_keeps_sweeps_short(monkeypatch):
     for n in range(3):
         deviation_report(EQUAL_A, n)
     assert counts["steps"] / counts["sweeps"] <= 400
+
+
+@pytest.mark.parametrize("params, levels, bound", [
+    (PotentialParams(m=1.0, b1=0.8), [0], 30),
+    (PotentialParams(m=1.0, b1=0.8, b2=-0.2), [0], 30),
+    (PotentialParams(m=1.0, b1=0.4, b2=0.2), [0], 30),
+    (EQUAL_A, [0, 1, 2], 45),
+])
+def test_eighth_order_sweeps_stay_short(monkeypatch, params, levels, bound):
+    # The DOP853 step takes 17-18 steps per sweep on the three Coulomb-plane
+    # cases and 28 on EQUAL_A; a Cash-Karp 4(5) step took 87-111 and 170.
+    counts = _count_oracle_work(monkeypatch)
+    for n in levels:
+        deviation_report(params, n)
+    assert counts["steps"] / counts["sweeps"] <= bound
 
 
 def test_tail_seed_is_the_log_derivative_of_the_decaying_solution():
