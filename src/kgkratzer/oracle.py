@@ -42,13 +42,11 @@ finder on Delta - n converges to it without a scan.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, replace
-from itertools import accumulate
 
-from ._radial import STATUS_OK, sweep, u_eval
-from ._search import bracketed_search
+from ._radial import STATUS_OK, sweep
+from ._search import _derivative, _horner, _real_roots, bracketed_search
 from .errors import ConvergenceError, DomainError, FallToCenterError, NoBoundStateError
 from .model import PotentialParams, origin_guard, u_series
 from .spectrum import EnergyLevel, select_level, solve_levels
@@ -81,7 +79,15 @@ _PEAK_FACTOR = 3.0
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Matched eigenvalue with its shooting diagnostics."""
+    """Matched eigenvalue with its shooting diagnostics.
+
+    ``energy`` is the zero of Delta - n interpolated across the final
+    ``bracket``, and ``match_defect`` the Wronskian defect interpolated to
+    it the same way.  ``node_count`` is the count both ends of the bracket
+    carry, or, where they differ, the count of a solution evaluated at the
+    level itself.  ``defect_evaluations`` counts every shooting evaluation
+    the search made, over all the brackets it tried.
+    """
 
     energy: float
     node_count: int
@@ -237,10 +243,12 @@ def _start_radius(params: PotentialParams, lo: float, hi: float,
 def _domain(params: PotentialParams, lo: float, hi: float) -> _Domain:
     """Fix the integration radii for the energy bracket [lo, hi].
 
-    r_min, r_match and r_max come from U at the bracket's centre.  Where
-    U ~ q2/r^2 at the origin, the outward sweep starts at r_start, below
-    which no energy of the bracket has a node (_start_radius); elsewhere it
-    starts at r_min.
+    r_min, r_match and r_max come from U at the bracket's centre.  r_match
+    is the geometric middle of the radii where U < 0, whose edges are real
+    roots of U as a quartic in 1/r, or where U >= 0 throughout, the radius
+    of U's minimum.  Where U ~ q2/r^2 at the origin, the outward sweep
+    starts at r_start, below which no energy of the bracket has a node
+    (_start_radius); elsewhere it starts at r_min.
     """
     energy = 0.5 * (lo + hi)
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
@@ -270,19 +278,29 @@ def _domain(params: PotentialParams, lo: float, hi: float) -> _Domain:
 
     # Matching radius: geometric middle of the classically allowed region,
     # where both shooting solutions are large and the Wronskian is best
-    # conditioned; fall back to the (clamped) minimum of U if U >= 0.  The
-    # 600 radii of the search are spaced geometrically from r_min to r_max.
-    r_grid = max(r_min, 1e-12)
-    step = (r_max / r_grid) ** (1.0 / 599.0)
-    radii = list(accumulate([step] * 599, operator.mul, initial=r_grid))
-    u_vals = [u_eval(kappa2, q1, q2, q3, q4, r) for r in radii]
-    negative = [i for i, u in enumerate(u_vals) if u < 0.0]
+    # conditioned; fall back to the (clamped) minimum of U if U >= 0.  Both
+    # are taken over the radii from r_low to r_max.  In x = 1/r, U is the
+    # quartic P(x) = q4 x^4 + q3 x^3 + q2 x^2 + q1 x + kappa2, so the edges
+    # of U < 0 are real roots of P, and the minimum of U lies at an end or
+    # at a real root of P'.
+    r_low = max(r_min, 1e-12)
+    quartic = [q4, q3, q2, q1, kappa2]
+    x_lo, x_hi = 1.0 / r_max, 1.0 / r_low
+    # The ends and the roots of P between them, in rising x and falling r.
+    xs = [x_lo, *_real_roots(quartic, x_lo, x_hi), x_hi]
+    radii = [r_max, *(1.0 / x for x in xs[1:-1]), r_low]
+    negative = [i for i in range(len(xs) - 1)
+                if _horner(quartic, 0.5 * (xs[i] + xs[i + 1])) < 0.0]
     if negative:
-        inner = max(radii[negative[0]], 2.0 * r_min)
-        outer = radii[negative[-1]]
+        inner = max(radii[negative[-1] + 1], 2.0 * r_min)
+        outer = radii[negative[0]]
         r_match = math.sqrt(inner * outer)
     else:
-        r_match = radii[min(range(len(radii)), key=u_vals.__getitem__)]
+        # The ends and the roots of P' between them, in rising r, so that a
+        # tie goes to the smallest radius.
+        xs = [x_hi, *reversed(_real_roots(_derivative(quartic), x_lo, x_hi)), x_lo]
+        radii = [r_low, *(1.0 / x for x in xs[1:-1]), r_max]
+        r_match = radii[min(range(len(xs)), key=lambda i: _horner(quartic, xs[i]))]
     r_match = min(max(r_match, 4.0 * r_min), 0.25 * r_max)
 
     r_start = r_min
@@ -387,35 +405,47 @@ def _clip(params: PotentialParams, bracket: tuple[float, float]) -> tuple[float,
     return _subcritical_bracket(params, lo, hi)
 
 
-def _converge(params, n, dom, a, b, g_a, g_b, evaluations):
+def _converge(params, n, dom, a, b, seen, evaluations):
     """Narrow the sign change of Delta - n on [a, b] to 1e-8, starting at
     the midpoint (callers centre their brackets on their estimate of the
     level), and check the node count of the level found.
 
-    ``evaluations`` counts the defect evaluations already spent on the
-    search; the result reports them together with the trials and the node
-    check.
+    ``seen`` holds (defect, nodes, Delta) at every energy already evaluated
+    on ``dom``, a and b among them; the trials are added to it.  Across the
+    final bracket Delta and the defect are linear to far below its width, so
+    the level E* and its defect are interpolated from the bracket's ends,
+    and where both ends carry n nodes so does E*.  Only where they differ
+    is E* evaluated, for its node count.  ``evaluations`` counts the defect
+    evaluations already spent on the search; the result reports them
+    together with the trials and any node check.
     """
     def excess(e: float) -> float:
-        return _defect_on_domain(params, e, dom)[2] - n
+        seen[e] = _defect_on_domain(params, e, dom)
+        return seen[e][2] - n
 
     a, b, g_a, g_b, trials = bracketed_search(
-        excess, a, b, g_a, g_b, 0.5 * (a + b), 1e-8, _MAX_REFINEMENTS)
+        excess, a, b, seen[a][2] - n, seen[b][2] - n, 0.5 * (a + b), 1e-8, _MAX_REFINEMENTS)
+    evaluations += trials
 
-    # Across the final bracket Delta is linear to far below its width.
-    e_star = a if a == b else a - g_a * (b - a) / (g_b - g_a)
-    defect_star, nodes_star, _ = _defect_on_domain(params, e_star, dom)
-    if nodes_star != n:
-        raise ConvergenceError(
-            f"Pruefer mismatch matched n={n} at E={e_star}, "
-            f"but the solution there has {nodes_star} nodes"
-        )
+    (defect_a, nodes_a, _), (defect_b, nodes_b, _) = seen[a], seen[b]
+    e_star, defect_star = a, defect_a
+    if a != b:
+        e_star = a - g_a * (b - a) / (g_b - g_a)
+        defect_star = defect_a - g_a * (defect_b - defect_a) / (g_b - g_a)
+    if not nodes_a == nodes_b == n:
+        defect_star, nodes_star, _ = _defect_on_domain(params, e_star, dom)
+        evaluations += 1
+        if nodes_star != n:
+            raise ConvergenceError(
+                f"Pruefer mismatch matched n={n} at E={e_star}, "
+                f"but the solution there has {nodes_star} nodes"
+            )
     return ShootingResult(
         energy=e_star,
-        node_count=nodes_star,
+        node_count=n,
         match_defect=defect_star,
         bracket=(a, b),
-        defect_evaluations=evaluations + trials + 1,
+        defect_evaluations=evaluations,
     )
 
 
@@ -449,31 +479,33 @@ def _search(params, n, brackets) -> ShootingResult | None:
     params = _in_units_of_m(params)
     brackets = [(lo / m, hi / m) for lo, hi in brackets]
     evaluations = 0
-    empty = None  # (lo, hi, Delta - n at lo and hi) of an empty bracket on dom
+    empty = None  # (lo, hi) of an empty bracket on dom
     for i, centred in enumerate(brackets):
         lo, hi = _clip(params, centred)
         if empty is None or (lo, hi) != centred:
             # A clipped bracket has its own centre, so its own geometry.
             empty = None
             dom = _domain(params, *_shared_span(params, brackets[i:], lo, hi))
-        g_lo = _defect_on_domain(params, lo, dom)[2] - n
-        g_hi = _defect_on_domain(params, hi, dom)[2] - n
+            seen = {}  # (defect, nodes, Delta) at each energy evaluated on dom
+        for energy in (lo, hi):
+            seen[energy] = _defect_on_domain(params, energy, dom)
         evaluations += 2
-        if g_lo * g_hi <= 0.0:
-            a, b, g_a, g_b = lo, hi, g_lo, g_hi
+        g_lo = seen[lo][2] - n
+        if g_lo * (seen[hi][2] - n) <= 0.0:
+            a, b = lo, hi
             if empty is not None:
                 # The inner bracket, on the same geometry, holds no sign
                 # change, so the outer shell on one side holds it.
-                in_lo, in_hi, g_in_lo, g_in_hi = empty
-                if g_lo * g_in_lo <= 0.0:
-                    b, g_b = in_lo, g_in_lo
+                in_lo, in_hi = empty
+                if g_lo * (seen[in_lo][2] - n) <= 0.0:
+                    b = in_lo
                 else:
-                    a, g_a = in_hi, g_in_hi
-            result = _converge(params, n, dom, a, b, g_a, g_b, evaluations)
+                    a = in_hi
+            result = _converge(params, n, dom, a, b, seen, evaluations)
             a, b = result.bracket
             return replace(result, energy=m * result.energy, bracket=(m * a, m * b))
         if (lo, hi) == centred:
-            empty = (lo, hi, g_lo, g_hi)
+            empty = (lo, hi)
     return None
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._search import bracketed_search
+from ._search import _derivative, _horner, _monotone_root, _real_roots, bracketed_search
 from .errors import ConvergenceError, DomainError, StructuralConstraintError
 from .model import (
     AdmissibilityReport,
@@ -67,8 +67,6 @@ SERIES_CASES = ("pure_vector_series", "equal_series", "opposite_series")
 # trivial or double zero.
 _ROOT_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 200
-# Newton steps allowed to one root of a polynomial on a monotone interval.
-_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -169,89 +167,6 @@ def _sextic(params: PotentialParams, n: int) -> list[float]:
         2.0 * x1 * x0 - w * c1,
         x0 * x0 - w * c0,
     ]
-
-
-def _horner(coefficients: list[float], x: float) -> float:
-    value = 0.0
-    for c in coefficients:
-        value = value * x + c
-    return value
-
-
-def _derivative(coefficients: list[float]) -> list[float]:
-    degree = len(coefficients) - 1
-    return [c * (degree - i) for i, c in enumerate(coefficients[:-1])]
-
-
-def _monotone_root(coefficients: list[float], a: float, b: float,
-                   p_a: float, p_b: float) -> float:
-    """The root of a polynomial monotone on [a, b] whose end values p_a, p_b
-    differ in sign: Newton from the secant point, kept inside the shrinking
-    bracket by bisection, until its step falls to the rounding of x or the
-    bracket does (where rounding noise in p keeps the step above it)."""
-    tol = 4e-16 * max(abs(a), abs(b))
-    x = a - p_a * (b - a) / (p_b - p_a)
-    rising = p_a < 0.0
-    for _ in range(_NEWTON_STEPS):
-        p = dp = 0.0
-        for c in coefficients:
-            dp = dp * x + p
-            p = p * x + c
-        if p == 0.0:
-            return x
-        step = p / dp if dp != 0.0 else math.inf
-        if -tol <= step <= tol:
-            return min(max(x - step, a), b)
-        if (p < 0.0) == rising:
-            a = x
-        else:
-            b = x
-        if b - a <= tol:
-            return x
-        x -= step
-        if not a < x < b:
-            x = 0.5 * (a + b)
-    return x
-
-
-def _real_roots(coefficients: list[float], lo: float, hi: float) -> list[float]:
-    """Sorted real roots inside (lo, hi) of the polynomial with these
-    coefficients, highest power first.
-
-    Leading zeros are dropped.  A constant, the zero polynomial included,
-    has no isolated root.  Degrees 1 and 2 are solved in closed form, the
-    quadratic without cancellation.  Above that, the roots of the derivative
-    cut (lo, hi) into intervals on which the polynomial is monotone, each
-    holding at most one root: the root of an interval whose ends differ in
-    sign, or an interior cut where the polynomial is exactly zero (a
-    multiple root).
-    """
-    start = 0
-    while start < len(coefficients) and coefficients[start] == 0.0:
-        start += 1
-    c = coefficients[start:]
-    degree = len(c) - 1
-    if degree <= 0:
-        return []
-    if degree == 1:
-        roots = [-c[1] / c[0]]
-    elif degree == 2:
-        disc = c[1] * c[1] - 4.0 * c[0] * c[2]
-        if disc < 0.0:
-            return []
-        q = -0.5 * (c[1] + math.copysign(math.sqrt(disc), c[1]))
-        roots = sorted((q / c[0], c[2] / q)) if q != 0.0 else [0.0]
-    else:
-        roots = []
-        a, p_a = lo, _horner(c, lo)
-        for b in (*_real_roots(_derivative(c), lo, hi), hi):
-            p_b = _horner(c, b)
-            if p_a * p_b < 0.0:
-                roots.append(_monotone_root(c, a, b, p_a, p_b))
-            elif p_b == 0.0 and b != hi:
-                roots.append(b)
-            a, p_a = b, p_b
-    return [x for x in roots if lo < x < hi]
 
 
 def _roots(params, n) -> list[tuple[float, float, int]]:

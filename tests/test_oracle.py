@@ -4,6 +4,7 @@ import random
 import pytest
 
 from kgkratzer import (
+    ConvergenceError,
     DomainError,
     FallToCenterError,
     PotentialParams,
@@ -12,6 +13,7 @@ from kgkratzer import (
     kg_match_defect,
     oracle,
 )
+from kgkratzer._radial import u_eval
 
 EQUAL = PotentialParams(m=1.0, b1=0.5, b2=0.5)
 EQUAL_A = PotentialParams(m=1.0, a1=0.5, b1=0.5, a2=0.5, b2=0.5)
@@ -319,8 +321,8 @@ def test_flat_zero_of_the_mismatch_still_converges(monkeypatch):
 
 
 @pytest.mark.parametrize("params, bracket, energy, evaluations", [
-    (EQUAL, (0.55, 0.65), 0.5999999999981712, 5),
-    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197762443, 11),
+    (EQUAL, (0.55, 0.65), 0.5999999999981707, 4),
+    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197762456, 10),
 ])
 def test_eigensolve_trial_sequence_is_pinned(params, bracket, energy, evaluations):
     # Exact energies and evaluation counts of the midpoint-first Brent search;
@@ -479,3 +481,144 @@ def test_coulomb_plane_levels_over_seeded_sets():
         assert report.shooting.node_count == n
         worst = max(worst, abs(report.oracle_energy - coulomb_plane_exact(b1, b2, n, m)) / m)
     assert worst <= 1e-10
+
+
+def _geometry_cases(family):
+    """(params, energy) of the reduced problem (m = 1) on the Coulomb plane,
+    on both manifolds, or with a 1/r^4 term and any 1/r^3 term."""
+    rng = random.Random({"coulomb": 20, "manifold": 21, "quartic": 22}[family])
+    cases = []
+    for _ in range(12):
+        if family == "coulomb":
+            b1 = rng.uniform(0.1, 1.0)
+            b2 = rng.uniform(-1.0, 1.0) * math.sqrt(b1 * b1 + 0.2)
+            params = PotentialParams(m=1.0, b1=b1, b2=b2)
+        elif family == "manifold":
+            a, b, sign = rng.uniform(0.0, 0.7), rng.uniform(0.3, 0.7), rng.choice((1.0, -1.0))
+            params = PotentialParams(m=1.0, a1=a, b1=b, a2=sign * a, b2=sign * b)
+        else:
+            a1 = rng.uniform(0.05, 1.0)
+            params = PotentialParams(m=1.0, a1=a1, b1=rng.uniform(-1.0, 1.0),
+                                     a2=rng.uniform(-0.95, 0.95) * a1, b2=rng.uniform(-1.0, 1.0))
+        cases.append((params, rng.uniform(-0.95, 0.95)))
+    return cases
+
+
+def _scanned_match_radius(params, energy, dom, points):
+    """r_match by _domain's rules, read off U on a geometric scan of radii
+    from max(r_min, 1e-12) to r_max."""
+    kappa2, q1, q2, q3, q4 = oracle.u_series(params, energy)
+    r_grid = max(dom.r_min, 1e-12)
+    ratio = (dom.r_max / r_grid) ** (1.0 / (points - 1))
+    radii = [r_grid * ratio ** i for i in range(points)]
+    u_vals = [u_eval(kappa2, q1, q2, q3, q4, r) for r in radii]
+    negative = [i for i, u in enumerate(u_vals) if u < 0.0]
+    if negative:
+        inner = max(radii[negative[0]], 2.0 * dom.r_min)
+        r_match = math.sqrt(inner * radii[negative[-1]])
+    else:
+        r_match = radii[min(range(points), key=u_vals.__getitem__)]
+    return min(max(r_match, 4.0 * dom.r_min), 0.25 * dom.r_max), ratio
+
+
+@pytest.mark.parametrize("family", ["coulomb", "manifold", "quartic"])
+def test_matching_radius_agrees_with_a_fine_scan_of_u(family):
+    # _domain takes the edges of U < 0 and the minimum of U from the roots
+    # of U as a quartic in 1/r; a scan finds each to within one ratio.
+    for params, energy in _geometry_cases(family):
+        dom = oracle._domain(params, energy, energy)
+        scanned, ratio = _scanned_match_radius(params, energy, dom, 200_000)
+        assert abs(math.log(dom.r_match / scanned)) <= math.log(ratio) * (1.0 + 1e-9)
+
+
+def test_matching_radius_at_the_exact_minimum_of_u():
+    # At E = 0.6, U = 0.64 - 0.448/r + 0.0784/r^2 >= 0, with its minimum
+    # (zero, a double root) at r = 0.35; a 600-point grid gave 0.3477.
+    dom = oracle._domain(PotentialParams(m=1.0, b1=0.35, b2=-0.21), 0.6, 0.6)
+    assert dom.r_match == pytest.approx(0.35, abs=1e-12)
+
+
+def test_matching_radius_spans_every_allowed_interval():
+    # At E = 0.6, U = 0.16 (x - 1/2)(x - 1)(x - 2)(x - 4) with x = 1/r, so
+    # U < 0 on (0.25, 0.5) and on (1, 2).  The matching radius is the
+    # geometric middle of 0.25 and 2.
+    params = PotentialParams(m=1.0, a1=0.5, b1=1.2, a2=0.3)
+    dom = oracle._domain(params, 0.6, 0.6)
+    assert dom.r_match == pytest.approx(math.sqrt(0.25 * 2.0), rel=1e-14)
+
+
+def test_matching_radius_of_a_constant_u_is_the_smallest_radius():
+    # U = kappa^2 at every radius: the tie goes to the smallest radius, as a
+    # grid's first-index argmin did, and the clamp lifts it to 4 r_min.
+    dom = oracle._domain(PotentialParams(m=1.0), 0.5, 0.5)
+    assert dom.r_match == 4.0 * dom.r_min
+
+
+def _extra_node(monkeypatch, where):
+    """Add a node to every evaluation at an energy where ``where`` holds;
+    return the list of energies evaluated."""
+    energies = []
+    defect_on_domain = oracle._defect_on_domain
+
+    def patched(params, energy, dom):
+        energies.append(energy)
+        defect, nodes, delta = defect_on_domain(params, energy, dom)
+        return defect, nodes + where(energy), delta
+
+    monkeypatch.setattr(oracle, "_defect_on_domain", patched)
+    return energies
+
+
+def test_level_is_evaluated_only_where_the_bracket_ends_disagree(monkeypatch):
+    params, bracket = PotentialParams(m=1.0, b1=0.8), (0.6, 0.95)
+    plain = kg_eigensolve(params, 0, bracket)
+    a, b = plain.bracket
+    # The upper end of the final bracket carries n + 1 nodes, the level n.
+    energies = _extra_node(monkeypatch, lambda e: e == b)
+    result = kg_eigensolve(params, 0, bracket)
+    assert result.defect_evaluations == plain.defect_evaluations + 1 == len(energies)
+    assert energies[-1] == result.energy == plain.energy
+    assert result.node_count == 0
+    # Every energy above the lower end carries n + 1 nodes, the level too.
+    monkeypatch.undo()
+    energies = _extra_node(monkeypatch, lambda e: e > a)
+    with pytest.raises(ConvergenceError):
+        kg_eigensolve(params, 0, bracket)
+    assert len(energies) == plain.defect_evaluations + 1
+    assert energies[-1] == plain.energy
+
+
+def test_level_carries_its_node_count_over_seeded_sets(monkeypatch):
+    # The node count and defect at E* come from the final bracket's ends; a
+    # fresh evaluation at E*, on the geometry the search used, confirms them.
+    searched = []
+    converge = oracle._converge
+
+    def recorded(params, n, dom, *rest):
+        result = converge(params, n, dom, *rest)
+        searched.append((params, dom, result))
+        return result
+
+    monkeypatch.setattr(oracle, "_converge", recorded)
+    rng = random.Random(60)
+    for _ in range(60):
+        m = rng.uniform(0.5, 2.0)
+        b1 = rng.uniform(0.1, 1.0)
+        b2 = rng.uniform(-1.0, 1.0) * math.sqrt(b1 * b1 + 0.2)
+        n = rng.randrange(3)
+        deviation_report(PotentialParams(m=m, b1=b1, b2=b2), n)
+        params, dom, result = searched[-1]
+        defect, nodes, _ = oracle._defect_on_domain(params, result.energy, dom)
+        assert nodes == result.node_count == n
+        # The bound test_eigensolve_equal_manifold puts on match_defect.
+        assert abs(defect) < 1e-5
+
+
+def test_manifold_levels_take_four_evaluations(monkeypatch):
+    # The two ends, the midpoint and one step across the root; the node
+    # count comes from the final bracket's ends.
+    counts = _count_oracle_work(monkeypatch)
+    for n in range(3):
+        before = counts["defects"]
+        report = deviation_report(EQUAL_A, n)
+        assert report.shooting.defect_evaluations == counts["defects"] - before <= 4
