@@ -42,11 +42,6 @@ def kernel_backend() -> str:
     return "python"
 
 
-def u_eval(kappa2: float, q1: float, q2: float, q3: float, q4: float, r: float) -> float:
-    """Effective potential of the squared wave equation at radius r."""
-    return kappa2 + (q1 + (q2 + (q3 + q4 / r) / r) / r) / r
-
-
 def sweep(
     kappa2: float,
     q1: float,
@@ -91,7 +86,7 @@ def sweep(
             return y, dy, nodes, STATUS_STEP_UNDERFLOW, steps
 
         # Stages 1 to 11 and the step's results, as tools/dop853_nystrom.py
-        # prints them; u_eval is inlined at each stage.
+        # prints them; U is evaluated inline at each stage.
         hdy = h * dy
         h2 = h * h
         f0 = u0 * y

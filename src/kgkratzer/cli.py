@@ -13,11 +13,11 @@ Output contract:
 Exit codes: 0 success, 2 invalid parameters, 3 no bound state found,
 4 convergence failure (and 1 for a verification suite that ran but failed).
 
-Size flags are capped so that no request can ask for unbounded work or
-memory: spectrum --nmax <= 1000, --n <= 1000 on energy, wavefunction and
-scan, scan --steps <= 10000, wavefunction --points <= 1000000 and verify
---cases <= 100000.  A larger value exits 2, and so does a config value
-that its flag's type cannot hold.
+Integer flags are bounded so that no request can ask for unbounded work or
+memory: spectrum --nmax and --n (on energy, wavefunction and scan) in
+[0, 1000], wavefunction --points in [2, 1000000], scan --steps in
+[1, 10000] and verify --cases in [0, 100000].  A value outside its range
+exits 2, and so does a config value that its flag's type cannot hold.
 """
 
 from __future__ import annotations
@@ -53,11 +53,6 @@ from .verify import run_suite
 from .wavefunction import eval_ground_state, normalization
 
 _PARAM_KEYS = ("m", "a1", "b1", "a2", "b2")
-
-MAX_NMAX = 1000
-MAX_SCAN_STEPS = 10_000
-MAX_POINTS = 1_000_000
-MAX_CASES = 100_000
 
 
 def _fmt(value):
@@ -128,9 +123,14 @@ def _resolve(ns, config, key, default=None, cast=None):
         raise DomainError(f"config key {key!r}: cannot read {value!r}: {exc}") from exc
 
 
-def _check_cap(flag: str, value: int, cap: int):
-    if value > cap:
-        raise DomainError(f"--{flag} must be <= {cap}, got {value}")
+def _count(ns, config, key, least, cap, default=None) -> int:
+    """An integer flag, resolved like any other, that must lie in [least, cap]."""
+    value = _resolve(ns, config, key, default=default, cast=_integer)
+    if value is None:
+        raise DomainError(f"--{key} is required")
+    if not least <= value <= cap:
+        raise DomainError(f"--{key} must be in [{least}, {cap}], got {value}")
+    return value
 
 
 def _params_from(ns, config, **overrides) -> PotentialParams:
@@ -203,10 +203,7 @@ def _emit(request: dict, results, diag, header=(), rows=()):
 def _cmd_spectrum(ns, config, diag) -> int:
     params = _params_from(ns, config)
     _require_real_a(params)
-    n_max = _resolve(ns, config, "nmax", cast=_integer)
-    if n_max is None or n_max < 0:
-        raise DomainError("--nmax is required and must be >= 0")
-    _check_cap("nmax", n_max, MAX_NMAX)
+    n_max = _count(ns, config, "nmax", 0, 1000)
     branch = _resolve(ns, config, "branch", default="all")
 
     run = solve_spectrum(params, n_max)
@@ -242,12 +239,17 @@ def _parse_method(raw: str):
     )
 
 
+def _level(params, n, branch):
+    """The level of ``branch`` that the spectrum reports at n."""
+    level = select_level(solve_levels(params, n), branch)
+    if level is None:
+        raise NoBoundStateError(f"no {branch} root of the spectrum equation at n={n}")
+    return level
+
+
 def _cmd_energy(ns, config, diag) -> int:
     params = _params_from(ns, config)
-    n = _resolve(ns, config, "n", cast=_integer)
-    if n is None or n < 0:
-        raise DomainError("--n is required and must be >= 0")
-    _check_cap("n", n, MAX_NMAX)
+    n = _count(ns, config, "n", 0, 1000)
     method_raw = _resolve(ns, config, "method", default="implicit")
     branch = _resolve(ns, config, "branch", default="particle")
     compare = _resolve(ns, config, "compare")
@@ -257,9 +259,7 @@ def _cmd_energy(ns, config, diag) -> int:
 
     record: dict = {"n": n}
     if method == "implicit":
-        level = select_level(solve_levels(params, n), branch)
-        if level is None:
-            raise NoBoundStateError(f"no {branch} root of the spectrum equation at n={n}")
+        level = _level(params, n, branch)
         record.update(_level_dict(level))
         energy = level.energy
     elif method == "closed":
@@ -294,9 +294,10 @@ def _cmd_energy(ns, config, diag) -> int:
     if compare == "oracle" and method != "oracle":
         try:
             report = deviation_report(params, n, branch=branch)
-        except FallToCenterError as exc:
-            # The oracle cannot integrate a supercritical origin; the
-            # analytic result stands on its own, with no comparison.
+        except (FallToCenterError, NoBoundStateError) as exc:
+            # The oracle cannot integrate a supercritical origin, or finds no
+            # level with n nodes; the analytic result stands on its own, with
+            # no comparison.
             diag.warn(str(exc))
             record["E_oracle"] = record["deviation"] = None
         else:
@@ -314,27 +315,17 @@ def _cmd_wavefunction(ns, config, diag) -> int:
     params = _params_from(ns, config)
     _require_real_a(params)
     raw_e = _resolve(ns, config, "e", default="auto")
-    n = _resolve(ns, config, "n", default=0, cast=_integer)
-    _check_cap("n", n, MAX_NMAX)
+    n = _count(ns, config, "n", 0, 1000, default=0)
     r_min = _resolve(ns, config, "rmin", cast=float)
     r_max = _resolve(ns, config, "rmax", cast=float)
-    points = _resolve(ns, config, "points", default=101, cast=_integer)
+    points = _count(ns, config, "points", 2, 1_000_000, default=101)
     normalize = bool(_resolve(ns, config, "normalize", default=False))
     if r_min is None or r_max is None:
         raise DomainError("--rmin and --rmax are required")
     if not (0.0 < r_min < r_max):
         raise DomainError(f"need 0 < rmin < rmax, got rmin={r_min}, rmax={r_max}")
-    if points < 2:
-        raise DomainError("--points must be >= 2")
-    _check_cap("points", points, MAX_POINTS)
 
-    if raw_e == "auto":
-        level = select_level(solve_levels(params, n), "particle")
-        if level is None:
-            raise NoBoundStateError(f"no particle root found at n={n} to seed --e auto")
-        energy = level.energy
-    else:
-        energy = float(raw_e)
+    energy = _level(params, n, "particle").energy if raw_e == "auto" else float(raw_e)
 
     norm_constant = normalization(params, energy).norm_constant if normalize else None
     scale = 1.0 if norm_constant is None else norm_constant
@@ -361,8 +352,7 @@ def _cmd_verify(ns, config, diag) -> int:
     if suite is None:
         raise DomainError("--suite is required (residuals, manifolds or limits)")
     seed = _resolve(ns, config, "seed", default=0, cast=_integer)
-    cases = _resolve(ns, config, "cases", default=200, cast=_integer)
-    _check_cap("cases", cases, MAX_CASES)
+    cases = _count(ns, config, "cases", 0, 100_000, default=200)
     try:
         report = run_suite(suite, seed=seed, cases=cases)
     except ValueError as exc:
@@ -378,14 +368,10 @@ def _cmd_scan(ns, config, diag) -> int:
         raise DomainError(f"--param must be one of {_PARAM_KEYS}, got {name!r}")
     start = _resolve(ns, config, "from", cast=float)
     stop = _resolve(ns, config, "to", cast=float)
-    steps = _resolve(ns, config, "steps", cast=_integer)
-    n = _resolve(ns, config, "n", default=0, cast=_integer)
-    if start is None or stop is None or steps is None:
+    if start is None or stop is None:
         raise DomainError("--from, --to and --steps are required")
-    if steps < 1:
-        raise DomainError("--steps must be >= 1")
-    _check_cap("steps", steps, MAX_SCAN_STEPS)
-    _check_cap("n", n, MAX_NMAX)
+    steps = _count(ns, config, "steps", 1, 10_000)
+    n = _count(ns, config, "n", 0, 1000, default=0)
     base = {key: _resolve(ns, config, key, cast=float) for key in _PARAM_KEYS}
     values = [start + (stop - start) * i / steps for i in range(steps + 1)]
 

@@ -141,6 +141,13 @@ def centrifugal_index(params: PotentialParams, energy: float) -> tuple[float | N
     return -0.5 + math.sqrt(radicand), radicand
 
 
+def level_index(n) -> int:
+    """``n`` as an int; DomainError unless it is a nonnegative integer."""
+    if n < 0 or int(n) != n:
+        raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
+    return int(n)
+
+
 def derived_coefficients(params: PotentialParams, energy: float, n: int = 0) -> DerivedCoefficients:
     """Evaluate a, c, k, the diagnostic c and the nonrelativistic level.
 
@@ -149,9 +156,7 @@ def derived_coefficients(params: PotentialParams, energy: float, n: int = 0) -> 
     """
     if not math.isfinite(energy):
         raise DomainError(f"energy must be finite, got {energy!r}")
-    if n < 0 or int(n) != n:
-        raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = level_index(n)
 
     a_sq = params.a1 * params.a1 - params.a2 * params.a2
     a = math.sqrt(a_sq) if a_sq >= 0.0 else None

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 from ._radial import STATUS_OK, sweep
 from ._search import _derivative, _horner, _real_roots, bracketed_search
 from .errors import ConvergenceError, DomainError, FallToCenterError, NoBoundStateError
-from .model import PotentialParams, origin_guard, u_series
+from .model import PotentialParams, level_index, origin_guard, u_series
 from .spectrum import EnergyLevel, select_level, solve_levels
 
 __all__ = [
@@ -524,9 +524,7 @@ def kg_eigensolve(
     ConvergenceError when an integration or the refinement breaks down, or
     when the refined solution does not carry n nodes.
     """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"node count target must be a nonnegative integer, got {n!r}")
-    return _search(params, int(n), [bracket])
+    return _search(params, level_index(n), [bracket])
 
 
 def deviation_report(

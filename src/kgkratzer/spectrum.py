@@ -30,8 +30,9 @@ from .model import (
     AdmissibilityReport,
     PotentialParams,
     admissibility,
-    centrifugal_index,
     coulomb_strength,
+    derived_coefficients,
+    level_index,
 )
 
 __all__ = [
@@ -111,14 +112,13 @@ def _residual_array(params: PotentialParams, n: int, energy: float) -> float:
 
 def spectrum_residual(params: PotentialParams, n: int, energy: float) -> float:
     """Evaluate f(E); its zeros on (-m, m) are the level-n bound energies."""
-    if n < 0 or int(n) != n:
-        raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
+    n = level_index(n)
     radicand = 1.0 + 8.0 * (params.m * params.a1 + energy * params.a2)
     if radicand < 0.0:
         raise DomainError(
             f"spectrum radicand 1 + 8*(m*a1 + E*a2) = {radicand} is negative at E={energy}"
         )
-    return _residual_array(params, int(n), float(energy))
+    return _residual_array(params, n, float(energy))
 
 
 def _window(params: PotentialParams) -> tuple[float, float] | None:
@@ -256,9 +256,7 @@ def solve_levels(params: PotentialParams, n: int) -> list[EnergyLevel]:
     regions (imaginary a, negative c window) are still returned; their
     admissibility report carries the reasons.
     """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = level_index(n)
     return [  # the cells, and so the roots, come in ascending order
         EnergyLevel(
             n=n,
@@ -336,9 +334,7 @@ def closed_form(params: PotentialParams, n: int, case: str) -> ClosedFormResult:
     """
     if case not in CLOSED_FORM_CASES:
         raise StructuralConstraintError(f"unknown closed-form case {case!r}")
-    if n < 0 or int(n) != n:
-        raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = level_index(n)
     m, nu = params.m, float(n + 1)
 
     if case == "coulomb_general":
@@ -392,9 +388,7 @@ def approx_energy(params: PotentialParams, n: int, case: str) -> float:
     """
     if case not in SERIES_CASES:
         raise StructuralConstraintError(f"unknown series case {case!r}")
-    if n < 0 or int(n) != n:
-        raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
-    n = int(n)
+    n = level_index(n)
     m = params.m
 
     if case == "pure_vector_series":
@@ -416,11 +410,10 @@ def approx_energy(params: PotentialParams, n: int, case: str) -> float:
 
 def nonrel_epsilon(params: PotentialParams, energy: float, n: int) -> float:
     """Nonrelativistic binding energy -k^2 / (4*(n + c + 1)^2) at (E, n)."""
-    c, radicand = centrifugal_index(params, energy)
-    if c is None:
+    coeffs = derived_coefficients(params, energy, n)
+    if coeffs.epsilon_n is None:
         raise DomainError(
-            f"centrifugal index undefined: radicand {radicand} < 0 at E={energy}"
+            f"centrifugal index undefined: radicand {coeffs.centrifugal_radicand} < 0 "
+            f"at E={energy}"
         )
-    k = coulomb_strength(params, energy)
-    denom = n + c + 1.0
-    return -(k * k) / (4.0 * denom * denom)
+    return coeffs.epsilon_n

@@ -131,31 +131,19 @@ def suite_residuals(seed: int, cases: int) -> dict:
 
 def _closed_form_backsub_worst() -> tuple[float, list[dict]]:
     """Substitute every closed form into f(E) over the coupling grids."""
-    worst = 0.0
-    atlas = []
     b_grid = (-0.9, -0.45, -0.1, 0.1, 0.45, 0.9)
-    for n in range(4):
-        for b1 in b_grid:
-            for b2 in b_grid:
-                params = PotentialParams(m=1.0, b1=b1, b2=b2)
-                for e in closed_form(params, n, "coulomb_general"):
-                    worst = max(worst, abs(spectrum_residual(params, n, e)))
-        for a1 in (0.0, 0.5, 1.0, 2.0):
-            for b1 in b_grid:
-                params = PotentialParams(m=1.0, a1=a1, b1=b1)
-                for e in closed_form(params, n, "pure_scalar"):
-                    worst = max(worst, abs(spectrum_residual(params, n, e)))
-        for b2 in b_grid:
-            params = PotentialParams(m=1.0, b2=b2)
-            for e in closed_form(params, n, "pure_vector_coulomb"):
-                worst = max(worst, abs(spectrum_residual(params, n, e)))
-        for b1 in (0.1, 0.3, 0.5, 0.7, 0.9):
-            equal = PotentialParams(m=1.0, b1=b1, b2=b1)
-            for e in closed_form(equal, n, "equal"):
-                worst = max(worst, abs(spectrum_residual(equal, n, e)))
-            opposite = PotentialParams(m=1.0, b1=b1, b2=-b1)
-            for e in closed_form(opposite, n, "opposite"):
-                worst = max(worst, abs(spectrum_residual(opposite, n, e)))
+    cases = [("coulomb_general", PotentialParams(m=1.0, b1=b1, b2=b2))
+             for b1 in b_grid for b2 in b_grid]
+    cases += [("pure_scalar", PotentialParams(m=1.0, a1=a1, b1=b1))
+              for a1 in (0.0, 0.5, 1.0, 2.0) for b1 in b_grid]
+    cases += [("pure_vector_coulomb", PotentialParams(m=1.0, b2=b2)) for b2 in b_grid]
+    for b1 in (0.1, 0.3, 0.5, 0.7, 0.9):
+        cases += [("equal", PotentialParams(m=1.0, b1=b1, b2=b1)),
+                  ("opposite", PotentialParams(m=1.0, b1=b1, b2=-b1))]
+    worst = max(abs(spectrum_residual(params, n, e))
+                for n in range(4) for case, params in cases
+                for e in closed_form(params, n, case))
+    atlas = []
     for label, b2_sign in (("equal", 1.0), ("opposite", -1.0)):
         params = PotentialParams(m=1.0, b1=0.5, b2=b2_sign * 0.5)
         energy = next(iter(closed_form(params, 0, label)))

@@ -131,13 +131,16 @@ def eval_ground_state(params: PotentialParams, energy: float, r: float) -> Groun
     return GroundStateEval(r=r, chi=chi, phi=phi, psi=chi * phi, w=w, dw=dw, w_susy=w + dw)
 
 
-def mismatch_coefficients(params: PotentialParams, energy: float) -> tuple[float, float]:
-    """Closed-form (M3, M2) of the phi-identity defect at (params, energy)."""
-    coeffs = _coefficients_or_raise(params, energy)
-    a, c, k = coeffs.a, coeffs.c, coeffs.k
+def _m3_m2(params: PotentialParams, a: float, c: float, k: float) -> tuple[float, float]:
     m3 = 2.0 * a * c + 2.0 * (params.a1 * params.b1 - params.a2 * params.b2)
     m2 = -a * k / (c + 1.0) - (params.b1 ** 2 - params.b2 ** 2)
     return m3, m2
+
+
+def mismatch_coefficients(params: PotentialParams, energy: float) -> tuple[float, float]:
+    """Closed-form (M3, M2) of the phi-identity defect at (params, energy)."""
+    coeffs = _coefficients_or_raise(params, energy)
+    return _m3_m2(params, coeffs.a, coeffs.c, coeffs.k)
 
 
 def residual_report(params: PotentialParams, energy: float, sample_radii) -> ResidualReport:
@@ -151,7 +154,7 @@ def residual_report(params: PotentialParams, energy: float, sample_radii) -> Res
     a, c, k = coeffs.a, coeffs.c, coeffs.k
     eps0 = coeffs.epsilon_n
     m, e = params.m, energy
-    m3, m2 = mismatch_coefficients(params, energy)
+    m3, m2 = _m3_m2(params, a, c, k)
 
     a_sq_target = params.a1 ** 2 - params.a2 ** 2
     quartic = abs(a * a - a_sq_target) / max(a * a, abs(a_sq_target), _TINY)

@@ -68,11 +68,18 @@ def test_unknown_flag_exit_2():
      "--n", "1001", "--rmin", "0.1", "--rmax", "5", "--points", "10"),
     ("scan", "--m", "1", "--b2", "0.5", "--param", "b1", "--from", "0.1", "--to", "0.5",
      "--steps", "2", "--n", "1001"),
+    # Below the lower bound.
+    ("scan", "--m", "1", "--b2", "0.5", "--param", "b1", "--from", "0.1", "--to", "0.5",
+     "--steps", "2", "--n", "-1"),
+    ("wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--e", "0.6",
+     "--n", "-1", "--rmin", "0.1", "--rmax", "5", "--points", "10"),
+    ("verify", "--suite", "manifolds", "--cases", "-1"),
 ])
 def test_size_flag_above_cap_exit_2(args):
     result = run_cli(*args)
     assert result.returncode == 2
     assert result.stderr.startswith("ERROR:")
+    assert len(result.stderr.splitlines()) == 1
     assert result.stdout == ""
 
 
@@ -289,6 +296,28 @@ def test_json_and_csv_carry_identical_numbers(capsys, args, rows_key, nulls):
             assert cell == ("" if value is None else str(value))
 
 
+@pytest.mark.parametrize("name, args", [
+    ("cli_spectrum_csv.csv", "spectrum --m 1 --a1 0 --b1 0.5 --a2 0 --b2 0.5 --nmax 2 "
+                             "--format csv"),
+    ("cli_energy_closed_equal.json", "energy --m 1 --b1 0.5 --b2 0.5 --n 0 "
+                                     "--method closed:equal"),
+    ("cli_wavefunction_normalize.json", "wavefunction --m 1 --b1 0.5 --b2 0.5 --e auto "
+                                        "--rmin 0.1 --rmax 20 --points 200 --normalize"),
+    ("cli_scan_steps16.json", "scan --m 1 --b2 0.5 --param b1 --from 0.1 --to 0.9 --steps 16"),
+    ("verify_manifolds.json", "verify --suite manifolds"),
+    ("verify_limits.json", "verify --suite limits"),
+])
+def test_cli_output_matches_its_golden_file(capsys, name, args):
+    # The README's examples that run no oracle, and the two small verify
+    # suites, pinned byte for byte.  Oracle commands are left out: a change
+    # to the integrator may legitimately move their last bits.
+    from kgkratzer import cli
+
+    assert cli.main(args.split()) == 0
+    expected = (GOLDEN.parent / name).read_bytes().decode("utf-8")
+    assert capsys.readouterr().out == expected
+
+
 def test_output_file_writing(tmp_path):
     target = tmp_path / "out.json"
     result = run_cli(
@@ -344,6 +373,24 @@ def test_energy_compare_oracle_supercritical_origin_warns():
     cells = dict(zip(header.split(","), row.split(",")))
     assert cells["E_oracle"] == "" and cells["deviation"] == ""
     assert cells["E"] == doc["results"]["E"]
+
+
+def test_energy_compare_oracle_without_an_n_node_level_warns():
+    # A deep inner pocket of U takes the low node counts, so the oracle has
+    # no 0-node level; the analytic level is reported without a comparison.
+    args = ("energy", "--m", "1.7432830671823407", "--a1", "0.322877221052863",
+            "--b1", "0.8117740311744638", "--a2", "-0.30796305659425927",
+            "--b2", "0.050863311075824535", "--n", "0", "--compare", "oracle")
+    result = run_cli(*args)
+    assert result.returncode == 0
+    warnings = [line for line in result.stderr.splitlines() if line.startswith("WARN: oracle:")]
+    assert len(warnings) == 1
+    assert "no 0-node eigenvalue" in warnings[0]
+    doc = json.loads(result.stdout)
+    assert doc["results"]["E_oracle"] is None
+    assert doc["results"]["deviation"] is None
+    assert doc["diagnostics"] == warnings
+    assert doc["results"]["E"] == "1.2897096761991267"
 
 
 def test_scan_without_mass_warns_per_point_then_exits_2():

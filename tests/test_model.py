@@ -12,6 +12,7 @@ from kgkratzer import (
     oracle,
     potentials_at,
     solve_levels,
+    spectrum,
 )
 
 
@@ -81,12 +82,30 @@ def test_undefined_quantities_are_none_not_nan():
     assert not coeffs.a_defined and not coeffs.c_defined
 
 
-def test_level_index_validation():
-    params = PotentialParams(m=1.0, b1=0.5)
+_PARAMS = PotentialParams(m=1.0, b1=0.5)
+
+
+@pytest.mark.parametrize("entry", [
+    pytest.param(lambda n: derived_coefficients(_PARAMS, 0.5, n=n), id="derived_coefficients"),
+    pytest.param(lambda n: spectrum.spectrum_residual(_PARAMS, n, 0.5), id="spectrum_residual"),
+    pytest.param(lambda n: solve_levels(_PARAMS, n), id="solve_levels"),
+    pytest.param(lambda n: spectrum.closed_form(_PARAMS, n, "coulomb_general"),
+                 id="closed_form"),
+    pytest.param(lambda n: spectrum.approx_energy(PotentialParams(m=1.0, b1=0.5, b2=0.5), n,
+                                                  "equal_series"), id="approx_energy"),
+    pytest.param(lambda n: oracle.kg_eigensolve(_PARAMS, n, (0.5, 0.99)), id="kg_eigensolve"),
+    # c = 0 here, so n = -1 puts a zero in the old denominator n + c + 1.
+    pytest.param(lambda n: spectrum.nonrel_epsilon(_PARAMS, 0.5, n), id="nonrel_epsilon"),
+])
+def test_level_index_validation(entry):
+    for n in (-1, 1.5):
+        with pytest.raises(DomainError):
+            entry(n)
+
+
+def test_energy_must_be_finite():
     with pytest.raises(DomainError):
-        derived_coefficients(params, 0.5, n=-1)
-    with pytest.raises(DomainError):
-        derived_coefficients(params, float("nan"))
+        derived_coefficients(_PARAMS, float("nan"))
 
 
 def test_potentials_direct_substitution():

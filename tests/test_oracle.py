@@ -13,7 +13,6 @@ from kgkratzer import (
     kg_match_defect,
     oracle,
 )
-from kgkratzer._radial import u_eval
 
 EQUAL = PotentialParams(m=1.0, b1=0.5, b2=0.5)
 EQUAL_A = PotentialParams(m=1.0, a1=0.5, b1=0.5, a2=0.5, b2=0.5)
@@ -511,7 +510,7 @@ def _scanned_match_radius(params, energy, dom, points):
     r_grid = max(dom.r_min, 1e-12)
     ratio = (dom.r_max / r_grid) ** (1.0 / (points - 1))
     radii = [r_grid * ratio ** i for i in range(points)]
-    u_vals = [u_eval(kappa2, q1, q2, q3, q4, r) for r in radii]
+    u_vals = [kappa2 + (q1 + (q2 + (q3 + q4 / r) / r) / r) / r for r in radii]
     negative = [i for i, u in enumerate(u_vals) if u < 0.0]
     if negative:
         inner = max(radii[negative[0]], 2.0 * dom.r_min)
