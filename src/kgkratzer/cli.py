@@ -357,8 +357,11 @@ def _cmd_verify(ns, config, diag) -> int:
         report = run_suite(suite, seed=seed, cases=cases)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
-    _emit(_request(ns, config, "verify", None, fmt="json",
-                   suite=suite, seed=seed, cases=cases), report, diag)
+    # The request echoes the seed and case count only where the suite drew
+    # its cases with them, as its report does.
+    draws = {key: report[key] for key in ("seed", "cases") if key in report}
+    _emit(_request(ns, config, "verify", None, fmt="json", suite=suite, **draws),
+          report, diag)
     return 0 if report["passed"] else 1
 
 

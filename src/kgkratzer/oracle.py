@@ -393,6 +393,9 @@ def _subcritical_bracket(params: PotentialParams, lo: float, hi: float):
     return lo, hi
 
 
+# The search narrows every sign change to _FINAL_WIDTH in units of m, and
+# may make _MAX_REFINEMENTS trials on one bracket to get there.
+_FINAL_WIDTH = 1e-8
 _MAX_REFINEMENTS = 200
 
 
@@ -406,9 +409,10 @@ def _clip(params: PotentialParams, bracket: tuple[float, float]) -> tuple[float,
 
 
 def _converge(params, n, dom, a, b, seen, evaluations):
-    """Narrow the sign change of Delta - n on [a, b] to 1e-8, starting at
-    the midpoint (callers centre their brackets on their estimate of the
-    level), and check the node count of the level found.
+    """Narrow the sign change of Delta - n on [a, b] to _FINAL_WIDTH,
+    starting at the midpoint (callers centre their brackets on their
+    estimate of the level), and check the node count of the level found.
+    A bracket no wider than that takes no trial.
 
     ``seen`` holds (defect, nodes, Delta) at every energy already evaluated
     on ``dom``, a and b among them; the trials are added to it.  Across the
@@ -424,7 +428,8 @@ def _converge(params, n, dom, a, b, seen, evaluations):
         return seen[e][2] - n
 
     a, b, g_a, g_b, trials = bracketed_search(
-        excess, a, b, seen[a][2] - n, seen[b][2] - n, 0.5 * (a + b), 1e-8, _MAX_REFINEMENTS)
+        excess, a, b, seen[a][2] - n, seen[b][2] - n, 0.5 * (a + b), _FINAL_WIDTH,
+        _MAX_REFINEMENTS)
     evaluations += trials
 
     (defect_a, nodes_a, _), (defect_b, nodes_b, _) = seen[a], seen[b]
@@ -472,8 +477,13 @@ def _search(params, n, brackets) -> ShootingResult | None:
     antiparticle side), so only the sign change is used, not its direction.
     A bracket with the same centre as the empty one before it keeps that
     bracket's geometry and end values and searches only the outer shell that
-    holds the sign change.  The search runs in units of m (see the module
-    docstring); the level and its bracket are returned in the caller's units.
+    holds the sign change.  An empty bracket no wider than the final width
+    is the exception: it only confirms a level taken to be at its centre,
+    and the bracket after it is searched whole, from its centre, as if the
+    empty one had not been tried: the search of its outer shell would start
+    half its half-width from that centre.  The search runs in units of m
+    (see the module docstring); the level and its bracket are returned in
+    the caller's units.
     """
     m = params.m
     params = _in_units_of_m(params)
@@ -504,7 +514,7 @@ def _search(params, n, brackets) -> ShootingResult | None:
             result = _converge(params, n, dom, a, b, seen, evaluations)
             a, b = result.bracket
             return replace(result, energy=m * result.energy, bracket=(m * a, m * b))
-        if (lo, hi) == centred:
+        if (lo, hi) == centred and hi - lo > _FINAL_WIDTH:
             empty = (lo, hi)
     return None
 
@@ -537,7 +547,14 @@ def deviation_report(
     is captured.  A widened bracket with the same centre keeps the geometry
     and the end values of the empty bracket inside it, and searches only the
     outer shell that holds the sign change; the defect evaluations of every
-    bracket tried are counted in the result.  Failures
+    bracket tried are counted in the result.
+
+    Where the couplings lie exactly on V_V = +-V_S, (a2, b2) = +-(a1, b1)
+    in float equality, the paper's level is exact.  There a bracket of the
+    final width, E +- 0.45e-8*m, goes in front of the others, on their
+    geometry; it holds the level, so its two ends give the level and its
+    match_defect, and the solve takes 2 defect evaluations.  Where it
+    misses, it costs those 2 and the search goes on as above.  Failures
     are labeled by their source ("analytic:" for the implicit solve,
     "oracle:" for the shooting solve).
     """
@@ -553,6 +570,11 @@ def deviation_report(
     m = params.m
     widths = (0.4 * (m - abs(e_analytic)) * 2.0 ** i for i in range(6))
     brackets = [(e_analytic - w, e_analytic + w) for w in widths if w <= 2.0 * m]
+    if (params.a2, params.b2) in ((params.a1, params.b1), (-params.a1, -params.b1)):
+        # 0.45, not 0.5: the width must stay within _FINAL_WIDTH once
+        # _search has divided the ends by m and rounded them.
+        half = 0.45 * _FINAL_WIDTH * m
+        brackets.insert(0, (e_analytic - half, e_analytic + half))
     try:
         result = _search(params, n, brackets)
     except (DomainError, ConvergenceError) as exc:

@@ -273,11 +273,10 @@ def solve_levels(params: PotentialParams, n: int) -> list[EnergyLevel]:
 
 def solve_spectrum(params: PotentialParams, n_max: int) -> SpectrumRun:
     """Apply solve_levels for n = 0..n_max; failures do not abort other levels."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = level_index(n_max)
     table: dict[tuple[int, str], list[EnergyLevel]] = {}
     failures: list[tuple[int, str]] = []
-    for n in range(int(n_max) + 1):
+    for n in range(n_max + 1):
         try:
             for level in solve_levels(params, n):
                 table.setdefault((n, level.branch), []).append(level)

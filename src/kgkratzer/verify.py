@@ -89,11 +89,11 @@ def _check(name: str, worst: float, tolerance: float) -> dict:
     }
 
 
-def _report(suite, seed, cases, checks, atlas) -> dict:
+def _report(suite, checks, atlas, **draws) -> dict:
+    """The report; ``draws`` holds the seed and case count of a seeded suite."""
     return {
         "suite": suite,
-        "seed": seed,
-        "cases": cases,
+        **draws,
         "checks": checks,
         "m3_m2_atlas": atlas,
         "passed": all(check["passed"] for check in checks),
@@ -126,7 +126,7 @@ def suite_residuals(seed: int, cases: int) -> dict:
         _check("quartic_cancellation", worst_quartic, QUARTIC_TOL),
         _check("susy_log_derivative", worst_susy, SUSY_TOL),
     ]
-    return _report("residuals", seed, cases, checks, atlas)
+    return _report("residuals", checks, atlas, seed=seed, cases=cases)
 
 
 def _closed_form_backsub_worst() -> tuple[float, list[dict]]:
@@ -153,7 +153,7 @@ def _closed_form_backsub_worst() -> tuple[float, list[dict]]:
     return worst, atlas
 
 
-def suite_manifolds(seed: int = 0, cases: int = 0) -> dict:
+def suite_manifolds() -> dict:
     worst_backsub, atlas = _closed_form_backsub_worst()
 
     # Pure-scalar root multiset must be symmetric under E -> -E.
@@ -190,10 +190,10 @@ def suite_manifolds(seed: int = 0, cases: int = 0) -> dict:
         _check("manifold_m3_m2_zero", worst_m, 1e-14),
         _check("normalization_gamma_crosscheck", worst_norm, NORMALIZATION_TOL),
     ]
-    return _report("manifolds", seed, cases, checks, atlas)
+    return _report("manifolds", checks, atlas)
 
 
-def suite_limits(seed: int = 0, cases: int = 0) -> dict:
+def suite_limits() -> dict:
     atlas = []
 
     # Equal-coupling series versus the exact closed form: the gap must shrink
@@ -240,7 +240,7 @@ def suite_limits(seed: int = 0, cases: int = 0) -> dict:
     ]
     checks[0]["gaps"] = gaps_equal
     checks[1]["gaps"] = gaps_vector
-    return _report("limits", seed, cases, checks, atlas)
+    return _report("limits", checks, atlas)
 
 
 SUITES = {
@@ -251,9 +251,15 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = 0, cases: int = 200) -> dict:
-    """Run one verification suite and return its report dict."""
+    """Run one verification suite and return its report dict.
+
+    Only ``residuals`` draws its cases, so only it takes ``seed`` and
+    ``cases`` and reports them; the other suites run fixed grids.
+    """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if name == "residuals" and cases < 1:
+    if name != "residuals":
+        return SUITES[name]()
+    if cases < 1:
         raise ValueError("residuals suite needs cases >= 1")
-    return SUITES[name](seed, cases)
+    return suite_residuals(seed, cases)

@@ -74,6 +74,8 @@ def test_unknown_flag_exit_2():
     ("wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--e", "0.6",
      "--n", "-1", "--rmin", "0.1", "--rmax", "5", "--points", "10"),
     ("verify", "--suite", "manifolds", "--cases", "-1"),
+    # The fixed-grid suites ignore --cases, but its range still holds.
+    ("verify", "--suite", "limits", "--cases", "100001"),
 ])
 def test_size_flag_above_cap_exit_2(args):
     result = run_cli(*args)
@@ -306,11 +308,15 @@ def test_json_and_csv_carry_identical_numbers(capsys, args, rows_key, nulls):
     ("cli_scan_steps16.json", "scan --m 1 --b2 0.5 --param b1 --from 0.1 --to 0.9 --steps 16"),
     ("verify_manifolds.json", "verify --suite manifolds"),
     ("verify_limits.json", "verify --suite limits"),
+    ("verify_manifolds.json", "verify --suite manifolds --seed 5 --cases 3"),
+    ("verify_limits.json", "verify --suite limits --seed 5 --cases 3"),
 ])
 def test_cli_output_matches_its_golden_file(capsys, name, args):
     # The README's examples that run no oracle, and the two small verify
     # suites, pinned byte for byte.  Oracle commands are left out: a change
-    # to the integrator may legitimately move their last bits.
+    # to the integrator may legitimately move their last bits.  The two
+    # small suites run fixed grids, so --seed and --cases leave their bytes
+    # as they are.
     from kgkratzer import cli
 
     assert cli.main(args.split()) == 0

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -255,8 +256,8 @@ def test_default_grid_agrees_with_a_tighter_tolerance(monkeypatch, params):
 
 @pytest.mark.parametrize("params", [EQUAL, OPPOSITE, EQUAL_A])
 def test_manifold_solves_confirm_the_centred_level_cheaply(monkeypatch, params):
-    # The bracket is centred on the paper's level, exact on these manifolds,
-    # so the midpoint trial lands on the root and the search closes there.
+    # The paper's level is exact on these manifolds, so the bracket of the
+    # final width centred on it holds the level and no trial is made.
     counts = _count_oracle_work(monkeypatch)
     for n in range(3):
         before = counts["defects"]
@@ -613,11 +614,83 @@ def test_level_carries_its_node_count_over_seeded_sets(monkeypatch):
         assert abs(defect) < 1e-5
 
 
-def test_manifold_levels_take_four_evaluations(monkeypatch):
-    # The two ends, the midpoint and one step across the root; the node
-    # count comes from the final bracket's ends.
+@pytest.mark.parametrize("params", [EQUAL, OPPOSITE, EQUAL_A])
+def test_manifold_levels_take_two_evaluations(monkeypatch, params):
+    # The bracket of the final width round the paper's exact level holds
+    # it, so its two ends give the level, its defect and its node count.
     counts = _count_oracle_work(monkeypatch)
     for n in range(3):
         before = counts["defects"]
-        report = deviation_report(EQUAL_A, n)
-        assert report.shooting.defect_evaluations == counts["defects"] - before <= 4
+        report = deviation_report(params, n)
+        assert report.shooting.defect_evaluations == counts["defects"] - before == 2
+        lo, hi = report.shooting.bracket
+        assert lo < report.analytic_energy < hi
+        assert hi - lo <= 1e-8 * params.m
+
+
+def _record(monkeypatch, name):
+    """Wrap oracle.<name> so that the arguments of every call are kept."""
+    calls = []
+    original = getattr(oracle, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(oracle, name, recorded)
+    return calls
+
+
+def _ordinary_search(monkeypatch, params, n):
+    """deviation_report's search for the n-node level of ``params``, then the
+    same search without the bracket of the final width in front."""
+    search = oracle._search
+    searches = _record(monkeypatch, "_search")
+    report = deviation_report(params, n)
+    _, _, brackets = searches[-1]
+    return report, lambda: search(params, n, brackets[1:])
+
+
+@pytest.mark.parametrize("params, n", [(EQUAL, 0), (OPPOSITE, 1), (EQUAL_A, 2)])
+def test_confirming_bracket_shares_the_wide_brackets_geometry(monkeypatch, params, n):
+    evaluated = _record(monkeypatch, "_defect_on_domain")
+    _, ordinary = _ordinary_search(monkeypatch, params, n)
+    confirmed = {dom for _, _, dom in evaluated}
+    evaluated.clear()
+    ordinary()
+    assert confirmed == {evaluated[0][2]}
+
+
+@pytest.mark.parametrize("params, n, exact", [(EQUAL, 0, 0.6), (OPPOSITE, 1, -15.0 / 17.0),
+                                              (PotentialParams(m=3.0, b1=0.5, b2=0.5), 1, 45.0 / 17.0)])
+def test_missed_confirming_bracket_falls_back_to_the_ordinary_search(monkeypatch, params, n, exact):
+    # A paper's level 1e-6*m off the exact one: the bracket of the final
+    # width round it misses, and the search that follows is the one made
+    # without that bracket, to the last bit.
+    select_level = oracle.select_level
+
+    def shifted(levels, branch):
+        level = select_level(levels, branch)
+        return replace(level, energy=level.energy + 1e-6 * params.m)
+
+    monkeypatch.setattr(oracle, "select_level", shifted)
+    missed, ordinary = _ordinary_search(monkeypatch, params, n)
+    result = ordinary()
+    assert missed.shooting.defect_evaluations == 2 + result.defect_evaluations
+    assert missed.shooting == replace(result, defect_evaluations=2 + result.defect_evaluations)
+    assert missed.oracle_energy == pytest.approx(exact, abs=1e-9 * params.m)
+    assert missed.deviation == pytest.approx(1e-6 * params.m, rel=1e-3)
+
+
+def test_offmanifold_search_starts_with_the_first_wide_bracket(monkeypatch):
+    # Off V_V = +-V_S no bracket of the final width goes first: the first
+    # two energies shot are the ends of E +- 0.4*(m - |E|), and no energy
+    # shot lies nearer to E than they do.
+    evaluated = _record(monkeypatch, "_defect_on_domain")
+    report = deviation_report(PotentialParams(m=1.0, b1=0.8), 0)
+    energies = [energy for _, energy, _ in evaluated]
+    level = report.analytic_energy
+    half = 0.4 * (1.0 - abs(level))
+    assert energies[:2] == [level - half, level + half]
+    assert min(abs(e - level) for e in energies) == pytest.approx(half, rel=1e-12)
+    assert report.shooting.defect_evaluations == len(energies)

@@ -94,6 +94,13 @@ def test_spectrum_equal_three_levels():
     assert all(e < params.m for e in energies)
 
 
+@pytest.mark.parametrize("n_max", [2.5, -1])
+def test_spectrum_rejects_an_n_max_that_is_no_level_index(n_max):
+    # int() would truncate 2.5 and run n = 0..2 without a word.
+    with pytest.raises(DomainError, match="level index"):
+        solve_spectrum(PotentialParams(m=1.0, b1=0.5, b2=0.5), n_max)
+
+
 def test_no_bound_states_without_coulomb_term():
     for a1, a2 in ((0.0, 0.0), (1.0, 0.0), (1.0, 0.5)):
         params = PotentialParams(m=1.0, a1=a1, a2=a2)
