@@ -36,7 +36,7 @@ from .errors import (
     FallToCenterError,
     NoBoundStateError,
 )
-from .model import PotentialParams, admissibility
+from .model import PotentialParams, admissibility, in_units_of_m
 from .oracle import deviation_report
 from .spectrum import (
     CLOSED_FORM_CASES,
@@ -287,7 +287,7 @@ def _cmd_energy(ns, config, diag) -> int:
                        "match_defect": report.shooting.match_defect})
 
     try:
-        record["residual"] = abs(spectrum_residual(params, n, energy))
+        record["residual"] = abs(spectrum_residual(in_units_of_m(params), n, energy / params.m))
     except DomainError:
         pass
 

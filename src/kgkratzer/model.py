@@ -141,6 +141,12 @@ def centrifugal_index(params: PotentialParams, energy: float) -> tuple[float | N
     return -0.5 + math.sqrt(radicand), radicand
 
 
+def in_units_of_m(params: PotentialParams) -> PotentialParams:
+    """The same problem with radii in units of 1/m and energies in units of m."""
+    m = params.m
+    return PotentialParams(1.0, params.a1 * m, params.b1, params.a2 * m, params.b2)
+
+
 def level_index(n) -> int:
     """``n`` as an int; DomainError unless it is a nonnegative integer."""
     if n < 0 or int(n) != n:
@@ -248,7 +254,7 @@ def admissibility(params: PotentialParams, energy: float) -> AdmissibilityReport
     if not k_positive:
         reasons.append("k = 2*(m*b1 + E*b2) not positive")
 
-    energy_subluminal = energy * energy < params.m * params.m
+    energy_subluminal = abs(energy) < params.m
     if not energy_subluminal:
         reasons.append("E^2 >= m^2: outside the bound-state window")
 

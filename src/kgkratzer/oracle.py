@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 from ._radial import STATUS_OK, sweep
 from ._search import _derivative, _horner, _real_roots, bracketed_search
 from .errors import ConvergenceError, DomainError, FallToCenterError, NoBoundStateError
-from .model import PotentialParams, level_index, origin_guard, u_series
+from .model import PotentialParams, in_units_of_m, level_index, origin_guard, u_series
 from .spectrum import EnergyLevel, select_level, solve_levels
 
 __all__ = [
@@ -109,12 +109,6 @@ class DeviationReport:
     shooting: ShootingResult
 
 
-def _in_units_of_m(params: PotentialParams) -> PotentialParams:
-    """The same problem with radii in units of 1/m and energies in units of m."""
-    m = params.m
-    return PotentialParams(1.0, params.a1 * m, params.b1, params.a2 * m, params.b2)
-
-
 @dataclass(frozen=True)
 class _Domain:
     r_min: float
@@ -123,10 +117,9 @@ class _Domain:
     r_max: float
 
 
-def _outward_seed(params: PotentialParams, energy: float, r: float):
-    """(psi, dpsi) of the regular solution at r, up to overall scale."""
-    kappa2, q1, q2, q3, q4 = u_series(params, energy)
-    origin_guard(q2, q3, q4)
+def _outward_seed(kappa2, q1, q2, q3, q4, r):
+    """(psi, dpsi) of the regular solution at r, up to overall scale, from
+    U's coefficients at an energy whose origin _clip or _domain has checked."""
     if q4 > 0.0:
         a_u = math.sqrt(q4)
         power = 1.0 + q3 / (2.0 * a_u)
@@ -325,7 +318,7 @@ def _defect_on_domain(params, energy, dom: _Domain):
 
     # Each sweep may step across its whole span: the error controller alone
     # sets the step.
-    y0, log_deriv = _outward_seed(params, energy, dom.r_start)
+    y0, log_deriv = _outward_seed(kappa2, q1, q2, q3, q4, dom.r_start)
     y_out, dy_out, nodes_out, status_out, _ = sweep(
         kappa2, q1, q2, q3, q4,
         dom.r_start, dom.r_match, y0, log_deriv * y0,
@@ -362,7 +355,7 @@ def kg_match_defect(params: PotentialParams, energy: float) -> tuple[float, int]
     outward/inward composite solution.
     """
     energy /= params.m
-    params = _in_units_of_m(params)
+    params = in_units_of_m(params)
     dom = _domain(params, energy, energy)
     defect, nodes, _ = _defect_on_domain(params, energy, dom)
     return defect, nodes
@@ -486,7 +479,7 @@ def _search(params, n, brackets) -> ShootingResult | None:
     the caller's units.
     """
     m = params.m
-    params = _in_units_of_m(params)
+    params = in_units_of_m(params)
     brackets = [(lo / m, hi / m) for lo, hi in brackets]
     evaluations = 0
     empty = None  # (lo, hi) of an empty bracket on dom

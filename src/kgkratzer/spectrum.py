@@ -32,6 +32,7 @@ from .model import (
     admissibility,
     coulomb_strength,
     derived_coefficients,
+    in_units_of_m,
     level_index,
 )
 
@@ -62,10 +63,10 @@ CLOSED_FORM_CASES = (
 SERIES_CASES = ("pure_vector_series", "equal_series", "opposite_series")
 
 
-# A level is accepted when |f| < _ROOT_TOLERANCE * m^2 (f scales as m^2) at
-# the end of its polished bracket; _MAX_ITERATIONS caps the f(E) evaluations
-# of one polish.  The window excludes 1e-9*m at E = +-m, where f has a
-# trivial or double zero.
+# Levels are solved in units of m, as f(E) = m^2 f_1(E/m), f_1 the f of (1, m*a1,
+# b1, m*a2, b2).  A level is accepted when |f_1| < _ROOT_TOLERANCE at the end of
+# its polished bracket; _MAX_ITERATIONS caps the f_1 evaluations of one polish.
+# The window excludes 1e-9 at E/m = +-1, where f has a trivial or double zero.
 _ROOT_TOLERANCE = 1e-12
 _MAX_ITERATIONS = 200
 
@@ -122,10 +123,9 @@ def spectrum_residual(params: PotentialParams, n: int, energy: float) -> float:
 
 
 def _window(params: PotentialParams) -> tuple[float, float] | None:
-    """Intersect (-m + 1e-9*m, m - 1e-9*m) with the nonnegative-radicand side."""
-    m = params.m
-    lo, hi = -m + 1e-9 * m, m - 1e-9 * m
-    base = 1.0 + 8.0 * params.m * params.a1
+    """Intersect (-1 + 1e-9, 1 - 1e-9) with the nonnegative-radicand side, at m = 1."""
+    lo, hi = -1.0 + 1e-9, 1.0 - 1e-9
+    base = 1.0 + 8.0 * params.a1
     slope = 8.0 * params.a2
     if slope == 0.0:
         if base < 0.0:
@@ -138,20 +138,19 @@ def _window(params: PotentialParams) -> tuple[float, float] | None:
 
 
 def _sextic(params: PotentialParams, n: int) -> list[float]:
-    """Coefficients of P(t) = X^2 - Y^2 * s^2 in t = E/m, highest power first.
+    """Coefficients of P(t) = X^2 - Y^2 * s^2 at m = 1, highest power first.
 
-    With N = 2n + 1 and s^2 = c0 + c1*t = 1 + 8*m*(a1 + t*a2), the residual
-    obeys f(m*t) * (N + s)^2 = m^2 * (X + Y*s), where
+    With N = 2n + 1 and s^2 = c0 + c1*t = 1 + 8*(a1 + t*a2), the residual
+    obeys f(t) * (N + s)^2 = X + Y*s, where
     X = (t^2 - 1)(N^2 + c0 + c1*t) + 4*(b1 + t*b2)^2 and Y = 2N(t^2 - 1).
-    Every zero of f is therefore m times a zero of the polynomial P, of
-    degree at most 6; P also vanishes where X = Y*s, the s < 0 branch, which
-    the sign test on each cell discards.  In t the coefficients do not scale
-    with powers of m, which could leave the float range.
+    Every zero of f is therefore a zero of the polynomial P, of degree at
+    most 6; P also vanishes where X = Y*s, the s < 0 branch, which the sign
+    test on each cell discards.
     """
     b1, b2 = params.b1, params.b2
     big_n2 = (2.0 * n + 1.0) ** 2
-    c0 = 1.0 + 8.0 * params.m * params.a1
-    c1 = 8.0 * params.m * params.a2
+    c0 = 1.0 + 8.0 * params.a1
+    c1 = 8.0 * params.a2
     # X = x3*t^3 + x2*t^2 + x1*t + x0 and Y^2 = w*(t^2 - 1)^2.
     x3 = c1
     x2 = big_n2 + c0 + 4.0 * b2 * b2
@@ -170,62 +169,58 @@ def _sextic(params: PotentialParams, n: int) -> list[float]:
 
 
 def _roots(params, n) -> list[tuple[float, float, int]]:
-    """(energy, |f|, search evaluations) of every zero of f in the window.
+    """(E/m, |f|/m^2, search evaluations) of every zero of f in the window, at m = 1.
 
-    The real critical points of P, times m, cut the window into cells on
-    which P is monotone, so each cell holds at most one root of P and so at
-    most one level.  A cell whose ends differ in sign holds one level, which
-    the bracketed search narrows to machine resolution, starting from the
-    root of P in the cell (or from the cell's midpoint where rounding leaves
-    P with no sign change).  The level must leave |f| below the root
-    tolerance times m^2, widened by what the change of s across its narrowed
-    bracket alone can move f: at s = 0 the slope of s is infinite, so a level
-    there leaves |f| far above the tolerance however narrow the bracket.
+    The real critical points of P cut the window into cells on which P is
+    monotone, so each cell holds at most one root of P and so at most one
+    level.  A cell whose ends differ in sign holds one level, which the
+    bracketed search narrows to machine resolution, starting from the root
+    of P in the cell (or from the cell's midpoint where rounding leaves P
+    with no sign change).  The level must leave |f| below the root
+    tolerance, widened by what the change of s across its narrowed bracket
+    alone can move f: at s = 0 the slope of s is infinite, so a level there
+    leaves |f| far above the tolerance however narrow the bracket.
     """
     window = _window(params)
     if window is None:
         return []
     lo, hi = window
-    m = params.m
     sextic = _sextic(params, n)
-    cuts = _real_roots(_derivative(sextic), lo / m, hi / m)
-    edges = [lo, *(min(max(m * t, lo), hi) for t in cuts), hi]
+    edges = [lo, *_real_roots(_derivative(sextic), lo, hi), hi]
     values = [_residual_array(params, n, edge) for edge in edges]
     if not all(map(math.isfinite, [*sextic, *values])):
-        raise DomainError(f"the spectrum equation overflows a float at {params}")
+        raise DomainError("the spectrum equation overflows a float in units of m")
 
-    def residual(energy: float) -> float:
-        return _residual_array(params, n, energy)
+    def residual(t: float) -> float:
+        return _residual_array(params, n, t)
 
     roots = []
     for i in range(len(edges) - 1):
         a, b, f_a, f_b = edges[i], edges[i + 1], values[i], values[i + 1]
         # An exact zero is a level on its cell's left end, or on the window's
         # top end, so a zero shared by two cells counts once.  The signs are
-        # compared, not multiplied: f ~ m^2, so f_a * f_b underflows to -0.0
-        # for m below ~1e-77.
+        # compared, not multiplied: an end near a zero of f can leave |f|
+        # below 1e-160, and a product of two such ends underflows to -0.0.
         has_level = (f_a < 0.0 < f_b or f_b < 0.0 < f_a
                      or f_a == 0.0 or (f_b == 0.0 and b == hi))
         if not (a < b and has_level):
             continue
-        p_a, p_b = _horner(sextic, a / m), _horner(sextic, b / m)
-        first = (m * _monotone_root(sextic, a / m, b / m, p_a, p_b) if p_a * p_b < 0.0
-                 else 0.5 * (a + b))
+        p_a, p_b = _horner(sextic, a), _horner(sextic, b)
+        first = _monotone_root(sextic, a, b, p_a, p_b) if p_a * p_b < 0.0 else 0.5 * (a + b)
         floor = 4.0 * 2.3e-16 * max(abs(a), abs(b))
         a, b, f_a, f_b, evaluations = bracketed_search(
             residual, a, b, f_a, f_b, min(max(first, a), b), floor, _MAX_ITERATIONS,
         )
-        best_f, best_e = min((abs(f_a), a), (abs(f_b), b))
-        # With k = 2*(m*b1 + E*b2) and N = 2n + 1, |df/ds| = 2k^2/(N + s)^3 <= 2k^2/N^3.
-        k = 2.0 * (params.m * params.b1 + best_e * params.b2)
+        best_f, best_t = min((abs(f_a), a), (abs(f_b), b))
+        # With k = 2*(b1 + t*b2) and N = 2n + 1, |df/ds| = 2k^2/(N + s)^3 <= 2k^2/N^3.
+        k = 2.0 * (params.b1 + best_t * params.b2)
         s_share = 2.0 * k * k / (2.0 * n + 1.0) ** 3 * abs(_s_of(params, b) - _s_of(params, a))
-        tolerance = _ROOT_TOLERANCE * m * m
-        if best_f >= tolerance + s_share:
+        if best_f >= _ROOT_TOLERANCE + s_share:
             raise ConvergenceError(
-                f"|f| = {best_f} at E={best_e} is not below "
-                f"the root tolerance {tolerance}"
+                f"|f| = {best_f}*m^2 at E/m={best_t} is not below "
+                f"the root tolerance {_ROOT_TOLERANCE}*m^2"
             )
-        roots.append((best_e, best_f, evaluations))
+        roots.append((best_t, best_f, evaluations))
     return roots
 
 
@@ -254,20 +249,26 @@ def solve_levels(params: PotentialParams, n: int) -> list[EnergyLevel]:
 
     Returns an empty list when no sign change exists.  Roots in flagged
     regions (imaginary a, negative c window) are still returned; their
-    admissibility report carries the reasons.
+    admissibility report carries the reasons.  Each level's residual is
+    |f|/m^2, the quantity the root tolerance bounds.
     """
     n = level_index(n)
+    try:
+        roots = _roots(in_units_of_m(params), n)
+    except DomainError as exc:
+        raise DomainError(f"{exc} at {params}") from exc
+    m = params.m
     return [  # the cells, and so the roots, come in ascending order
         EnergyLevel(
             n=n,
-            energy=energy,
-            branch=classify_branch(params, energy),
-            admissibility=admissibility(params, energy),
+            energy=m * t,
+            branch=classify_branch(params, m * t),
+            admissibility=admissibility(params, m * t),
             method="implicit_root",
             residual=fval,
             iterations=iterations,
         )
-        for energy, fval, iterations in _roots(params, n)
+        for t, fval, iterations in roots
     ]
 
 

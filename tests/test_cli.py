@@ -396,7 +396,7 @@ def test_energy_compare_oracle_without_an_n_node_level_warns():
     assert doc["results"]["E_oracle"] is None
     assert doc["results"]["deviation"] is None
     assert doc["diagnostics"] == warnings
-    assert doc["results"]["E"] == "1.2897096761991267"
+    assert doc["results"]["E"] == "1.2897096761991262"
 
 
 def test_scan_without_mass_warns_per_point_then_exits_2():

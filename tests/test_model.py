@@ -166,6 +166,17 @@ def test_admissibility_superluminal_energy():
     assert report.overall == "inadmissible"
 
 
+@pytest.mark.parametrize("m", [1e-170, 1e160])
+def test_admissibility_window_at_extreme_masses(m):
+    # E^2 and m^2 underflow at m = 1e-170 and overflow at m = 1e160; the
+    # window test must not square them.
+    unit = PotentialParams(m=1.0, b1=0.5)
+    params = PotentialParams(m=m, b1=0.5)
+    assert admissibility(params, 0.5 * m) == admissibility(unit, 0.5)
+    assert admissibility(params, 0.5 * m).energy_subluminal
+    assert not admissibility(params, -1.5 * m).energy_subluminal
+
+
 def test_admissibility_equal_coulomb_boundary():
     params = PotentialParams(m=1.0, b1=0.5, b2=0.5)
     report = admissibility(params, 0.6)

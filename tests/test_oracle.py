@@ -13,7 +13,9 @@ from kgkratzer import (
     kg_eigensolve,
     kg_match_defect,
     oracle,
+    solve_levels,
 )
+from kgkratzer.model import in_units_of_m
 
 EQUAL = PotentialParams(m=1.0, b1=0.5, b2=0.5)
 EQUAL_A = PotentialParams(m=1.0, a1=0.5, b1=0.5, a2=0.5, b2=0.5)
@@ -151,6 +153,30 @@ def test_oracle_level_holds_at_every_mass_scale(m):
     assert report.shooting.node_count == 0
     lo, hi = report.shooting.bracket
     assert lo <= report.oracle_energy <= hi
+
+
+@pytest.mark.parametrize("m", [1e-300, 1e-200, 1e160, 1e300])
+def test_both_solvers_give_the_unit_mass_levels_at_extreme_masses(m):
+    # Both solve in units of m, so where m^2 leaves the float range the
+    # levels are still the m = 1 levels times m, to within rounding.
+    unit = PotentialParams(m=1.0, b1=0.5, b2=0.3)
+    params = PotentialParams(m=m, b1=0.5, b2=0.3)
+    for n in range(3):
+        reference = solve_levels(unit, n)
+        levels = solve_levels(params, n)
+        assert len(levels) == len(reference) == 2
+        for level, want in zip(levels, reference):
+            assert abs(level.energy / m - want.energy) <= 4.0 * math.ulp(want.energy)
+            assert level.residual == want.residual
+            assert level.admissibility.overall == want.admissibility.overall
+        report, want = deviation_report(params, n), deviation_report(unit, n)
+        assert abs(report.analytic_energy / m - want.analytic_energy) \
+            <= 4.0 * math.ulp(want.analytic_energy)
+        assert abs(report.oracle_energy / m - want.oracle_energy) \
+            <= 4.0 * math.ulp(want.oracle_energy)
+        assert report.shooting.node_count == n
+        assert report.analytic_level.admissibility.overall \
+            == want.analytic_level.admissibility.overall
 
 
 def test_pruefer_mismatch_is_the_node_index():
@@ -420,7 +446,7 @@ def _seeded_brackets():
     # In units of m, as the oracle solves them.
     brackets = []
     for params in cases:
-        unit = oracle._in_units_of_m(params)
+        unit = in_units_of_m(params)
         centre = rng.uniform(-0.95, 0.95)
         half = rng.uniform(0.01, 0.5)
         brackets.append((unit, oracle._clip(unit, (centre - half, centre + half))))
@@ -451,7 +477,7 @@ def test_no_node_below_the_start_radius(params, bracket):
         kappa2, q1, q2, q3, q4 = oracle.u_series(params, energy)
         assert q3 == q4 == 0.0
         assert _origin_series_excess(kappa2, q1, q2, dom.r_start) <= 0.5
-        _, log_deriv = oracle._outward_seed(params, energy, dom.r_min)
+        _, log_deriv = oracle._outward_seed(kappa2, q1, q2, q3, q4, dom.r_min)
         y, dy, nodes, status, _ = oracle.sweep(
             kappa2, q1, q2, q3, q4, dom.r_min, dom.r_start, 1.0, log_deriv,
             dom.r_start - dom.r_min, 1e-12, 200_000)

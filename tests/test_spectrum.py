@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -480,7 +481,47 @@ def test_levels_scale_with_the_mass():
 
 
 def test_overflowing_spectrum_equation_raises():
-    # f(E) ~ m^2 leaves the float range: no level can be resolved, and
-    # "no level" would be a wrong answer.
-    with pytest.raises(DomainError, match="overflows"):
-        solve_levels(PotentialParams(m=1e160, b1=0.5), 0)
+    # At m = 1e160, f(E) ~ m^2 leaves the float range, but the levels are
+    # solved in units of m: the pure-scalar pair E = +-m*sqrt(3)/2 is found.
+    levels = solve_levels(PotentialParams(m=1e160, b1=0.5), 0)
+    assert [lvl.energy for lvl in levels] == pytest.approx(
+        [-0.75 ** 0.5 * 1e160, 0.75 ** 0.5 * 1e160], rel=1e-15)
+    # With m*a1 = 1e300, f leaves the float range in units of m too: no level
+    # can be resolved, and "no level" would be a wrong answer.
+    params = PotentialParams(m=1.0, a1=1e300, b1=0.5)
+    with pytest.raises(DomainError, match="overflows") as caught:
+        solve_levels(params, 0)
+    assert str(params) in str(caught.value)
+
+
+def _coulomb_plane_levels(params, n):
+    """The zeros of f in the window where a1 = a2 = 0, to 50 digits.
+
+    There s = 1, so f = 0 is (nu^2 + b2^2) t^2 + 2 b1 b2 t + b1^2 - nu^2 = 0
+    in t = E/m, with nu = n + 1.
+    """
+    with decimal.localcontext() as context:
+        context.prec = 50
+        m, b1, b2 = (decimal.Decimal(x) for x in (params.m, params.b1, params.b2))
+        nu2 = decimal.Decimal((n + 1) ** 2)
+        a, half_b, c = nu2 + b2 * b2, b1 * b2, b1 * b1 - nu2
+        root = (half_b * half_b - a * c).sqrt()  # c < 0: two real roots
+        ts = sorted(((-half_b - root) / a, (-half_b + root) / a))
+        return [m * t for t in ts if abs(t) < 1 - decimal.Decimal("1e-9")]
+
+
+def test_coulomb_plane_levels_match_a_50_digit_reference():
+    # The search stops at a bracket of 4*2.3e-16 in E/m, and E = m*(E/m)
+    # rounds once more: every level lies within 1e-15*m of the exact zero.
+    rng = random.Random(7)
+    worst = 0.0
+    for i in range(400):
+        params = PotentialParams(m=10.0 ** rng.uniform(-3.0, 3.0),
+                                 b1=rng.uniform(0.05, 1.0), b2=rng.uniform(-1.0, 1.0))
+        n = i % 3
+        reference = _coulomb_plane_levels(params, n)
+        energies = [lvl.energy for lvl in solve_levels(params, n)]
+        assert len(energies) == len(reference) == 2, (params, n)
+        for got, want in zip(energies, reference):
+            worst = max(worst, float(abs(decimal.Decimal(got) - want)) / params.m)
+    assert worst <= 1e-15
