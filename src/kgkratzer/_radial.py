@@ -52,7 +52,6 @@ def sweep(
     r1: float,
     y: float,
     dy: float,
-    h_max: float,
     rtol: float,
     max_steps: int,
 ):
@@ -67,7 +66,7 @@ def sweep(
     done_eps = 5e-16 * (abs(r0) + abs(r1))
 
     r = r0
-    h = direction * min(h_max, max(abs(r0) * 1e-2, abs(span) * 1e-8))
+    h = direction * max(abs(r0) * 1e-2, abs(span) * 1e-8)
     nodes = 0
     last_sign = 1.0 if y > 0.0 else (-1.0 if y < 0.0 else 0.0)
     steps = 0
@@ -215,15 +214,12 @@ def sweep(
             if factor > _MAX_GROW:
                 factor = _MAX_GROW
             h *= factor
-            if h * direction > h_max:
-                h = direction * h_max
         else:
             factor = _SAFETY * err ** -0.125
             if not factor >= _MIN_SHRINK:  # NaN included
                 factor = _MIN_SHRINK
             h *= factor
-            abs_r = r if r >= 0.0 else -r
-            if h * direction < 1e-15 * (abs_r if abs_r > 1e-30 else 1e-30):
+            if h * direction < 1e-15 * (r if r >= 0.0 else -r):
                 return y, dy, nodes, STATUS_STEP_UNDERFLOW, steps
 
     return y, dy, nodes, STATUS_OK, steps

@@ -63,10 +63,10 @@ _TINY = 1e-300
 _EPS = sys.float_info.epsilon
 
 
-# The adaptive controller sets every step from the local error _RTOL; no
-# sweep caps its step below its own span, and each may take _MAX_STEPS
-# accepted steps.  The origin radius is chosen so the decaying origin factor
-# contributes _ORIGIN_EXPONENT e-folds; the outer radius covers _TAIL_LENGTHS
+# The adaptive controller sets every step from the local error _RTOL, and
+# each sweep may take _MAX_STEPS accepted steps.  The origin radius is chosen
+# so the decaying origin factor contributes _ORIGIN_EXPONENT e-folds, and
+# _domain fixes the outward seed there; the outer radius covers _TAIL_LENGTHS
 # decay lengths 1/kappa and _PEAK_FACTOR times the turning-region scale.  The
 # inward sweep starts there from the asymptotic series of the decaying
 # solution, accurate enough that 12 decay lengths suffice.
@@ -115,20 +115,7 @@ class _Domain:
     r_start: float
     r_match: float
     r_max: float
-
-
-def _outward_seed(kappa2, q1, q2, q3, q4, r):
-    """(psi, dpsi) of the regular solution at r, up to overall scale, from
-    U's coefficients at an energy whose origin _clip or _domain has checked."""
-    if q4 > 0.0:
-        a_u = math.sqrt(q4)
-        power = 1.0 + q3 / (2.0 * a_u)
-        log_deriv = a_u / (r * r) + power / r
-    elif q3 > 0.0:
-        log_deriv = 0.75 / r + math.sqrt(q3) / r ** 1.5
-    else:
-        log_deriv = _origin_log_deriv(kappa2, q1, q2, r)
-    return 1.0, log_deriv
+    seed: float | None  # psi'/psi at r_start, where it does not depend on E
 
 
 def _origin_log_deriv(kappa2, q1, q2, r):
@@ -239,9 +226,15 @@ def _domain(params: PotentialParams, lo: float, hi: float) -> _Domain:
     r_min, r_match and r_max come from U at the bracket's centre.  r_match
     is the geometric middle of the radii where U < 0, whose edges are real
     roots of U as a quartic in 1/r, or where U >= 0 throughout, the radius
-    of U's minimum.  Where U ~ q2/r^2 at the origin, the outward sweep
-    starts at r_start, below which no energy of the bracket has a node
-    (_start_radius); elsewhere it starts at r_min.
+    of U's minimum.
+
+    r_min and the outward seed come from the term of U that dominates at the
+    origin.  Where it is q4/r^4 or q3/r^3, the sweep starts at r_min from
+    psi'/psi of the regular solution's leading WKB factor, which does not
+    depend on E, and ``seed`` holds it.  Where U ~ q2/r^2, the sweep starts
+    at r_start, below which no energy of the bracket has a node
+    (_start_radius), from the Frobenius series, which depends on E: ``seed``
+    is None, and _defect_on_domain sums the series (_origin_log_deriv).
     """
     energy = 0.5 * (lo + hi)
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
@@ -258,16 +251,24 @@ def _domain(params: PotentialParams, lo: float, hi: float) -> _Domain:
         r_turn = max(r_turn, math.sqrt(-q2) / kappa)
     r_max = max(_TAIL_LENGTHS / kappa, _PEAK_FACTOR * r_turn)
 
-    # Origin radius per the dominant balance of U near r = 0.
+    # Origin radius and outward seed per the dominant balance of U near r = 0:
+    # psi ~ r^(1 + q3/(2 sqrt(q4))) e^(-sqrt(q4)/r) under q4/r^4, and
+    # psi ~ r^(3/4) e^(-2 sqrt(q3/r)) under q3/r^3, with q3 and q4 free of E.
+    # The cubic seed is written sqrt(q3/r)/r, since r^1.5 underflows to 0 at
+    # tiny q3.
+    r_cap = 1e-3 * r_max
     if q4 > 0.0:
-        r_min = math.sqrt(q4) / _ORIGIN_EXPONENT
+        a_u = math.sqrt(q4)
+        r_min = min(a_u / _ORIGIN_EXPONENT, r_cap)
+        seed = a_u / (r_min * r_min) + (1.0 + q3 / (2.0 * a_u)) / r_min
     elif q3 > 0.0:
-        r_min = 4.0 * q3 / (_ORIGIN_EXPONENT * _ORIGIN_EXPONENT)
+        r_min = min(4.0 * q3 / (_ORIGIN_EXPONENT * _ORIGIN_EXPONENT), r_cap)
+        seed = 0.75 / r_min + math.sqrt(q3 / r_min) / r_min
     else:
         p = 0.5 + math.sqrt(0.25 + q2)
         b1 = abs(q1) / (2.0 * p)
-        r_min = min(1e-3 / (1.0 + b1), 1e-3 / (1.0 + kappa))
-    r_min = min(r_min, 1e-3 * r_max)
+        r_min = min(1e-3 / (1.0 + b1), 1e-3 / (1.0 + kappa), r_cap)
+        seed = None
 
     # Matching radius: geometric middle of the classically allowed region,
     # where both shooting solutions are large and the Wronskian is best
@@ -297,9 +298,10 @@ def _domain(params: PotentialParams, lo: float, hi: float) -> _Domain:
     r_match = min(max(r_match, 4.0 * r_min), 0.25 * r_max)
 
     r_start = r_min
-    if q3 == 0.0 and q4 == 0.0:
+    if seed is None:
         r_start = _start_radius(params, lo, hi, r_min, r_match)
-    return _Domain(r_min=r_min, r_start=r_start, r_match=r_match, r_max=r_max)
+    return _Domain(r_min=r_min, r_start=r_start, r_match=r_match, r_max=r_max,
+                   seed=seed)
 
 
 def _defect_on_domain(params, energy, dom: _Domain):
@@ -312,17 +314,14 @@ def _defect_on_domain(params, energy, dom: _Domain):
     node count of the composite solution wherever the two solutions match.
     """
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
-    if kappa2 <= 0.0:
-        raise DomainError(f"shooting needs E^2 < m^2, got E/m={energy}")
     kappa = math.sqrt(kappa2)
 
-    # Each sweep may step across its whole span: the error controller alone
-    # sets the step.
-    y0, log_deriv = _outward_seed(kappa2, q1, q2, q3, q4, dom.r_start)
+    seed = dom.seed
+    if seed is None:
+        seed = _origin_log_deriv(kappa2, q1, q2, dom.r_start)
     y_out, dy_out, nodes_out, status_out, _ = sweep(
         kappa2, q1, q2, q3, q4,
-        dom.r_start, dom.r_match, y0, log_deriv * y0,
-        dom.r_match - dom.r_start, _RTOL, _MAX_STEPS,
+        dom.r_start, dom.r_match, 1.0, seed, _RTOL, _MAX_STEPS,
     )
     if status_out != STATUS_OK:
         raise ConvergenceError(
@@ -332,7 +331,7 @@ def _defect_on_domain(params, energy, dom: _Domain):
     y_in, dy_in, nodes_in, status_in, _ = sweep(
         kappa2, q1, q2, q3, q4,
         dom.r_max, dom.r_match, 1.0, _tail_log_deriv(kappa, q1, q2, q3, q4, dom.r_max),
-        dom.r_max - dom.r_match, _RTOL, _MAX_STEPS,
+        _RTOL, _MAX_STEPS,
     )
     if status_in != STATUS_OK:
         raise ConvergenceError(
@@ -361,13 +360,23 @@ def kg_match_defect(params: PotentialParams, energy: float) -> tuple[float, int]
     return defect, nodes
 
 
-def _subcritical_bracket(params: PotentialParams, lo: float, hi: float):
-    """Clip [lo, hi] to the energies at which the origin is subcritical.
+# The search narrows every sign change to _FINAL_WIDTH in units of m, and
+# may make _MAX_REFINEMENTS trials on one bracket to get there.
+_FINAL_WIDTH = 1e-8
+_MAX_REFINEMENTS = 200
+
+
+def _clip(params: PotentialParams, bracket: tuple[float, float]) -> tuple[float, float]:
+    """Clip a bracket to (-1, 1) less 1e-9 and to subcritical energies.
 
     Of U's origin coefficients only q2 depends on E, and linearly, so the
     supercritical energies form a half-line: cut the bracket where q2 crosses
     -1/4.  Raises FallToCenterError when no energy of the bracket is left.
     """
+    lo = max(min(bracket), -1.0 + 1e-9)
+    hi = min(max(bracket), 1.0 - 1e-9)
+    if not lo < hi:
+        raise DomainError(f"bracket {bracket} (in units of m) does not intersect (-1, 1)")
     _, _, q2_lo, q3, q4 = u_series(params, lo)
     q2_hi = u_series(params, hi)[2]
     if q4 == 0.0 and q3 == 0.0 and (q2_lo > -0.25) != (q2_hi > -0.25):
@@ -384,21 +393,6 @@ def _subcritical_bracket(params: PotentialParams, lo: float, hi: float):
     else:
         origin_guard(max(q2_lo, q2_hi), q3, q4)
     return lo, hi
-
-
-# The search narrows every sign change to _FINAL_WIDTH in units of m, and
-# may make _MAX_REFINEMENTS trials on one bracket to get there.
-_FINAL_WIDTH = 1e-8
-_MAX_REFINEMENTS = 200
-
-
-def _clip(params: PotentialParams, bracket: tuple[float, float]) -> tuple[float, float]:
-    """Clip a bracket to (-1, 1) less 1e-9 and to subcritical energies."""
-    lo = max(min(bracket), -1.0 + 1e-9)
-    hi = min(max(bracket), 1.0 - 1e-9)
-    if not lo < hi:
-        raise DomainError(f"bracket {bracket} (in units of m) does not intersect (-1, 1)")
-    return _subcritical_bracket(params, lo, hi)
 
 
 def _converge(params, n, dom, a, b, seen, evaluations):

@@ -250,11 +250,13 @@ def solve_levels(params: PotentialParams, n: int) -> list[EnergyLevel]:
     Returns an empty list when no sign change exists.  Roots in flagged
     regions (imaginary a, negative c window) are still returned; their
     admissibility report carries the reasons.  Each level's residual is
-    |f|/m^2, the quantity the root tolerance bounds.
+    |f|/m^2, the quantity the root tolerance bounds.  Each level is judged
+    on the problem solved, in units of m, where a1^2 and k^2 stay in range.
     """
     n = level_index(n)
+    unit = in_units_of_m(params)
     try:
-        roots = _roots(in_units_of_m(params), n)
+        roots = _roots(unit, n)
     except DomainError as exc:
         raise DomainError(f"{exc} at {params}") from exc
     m = params.m
@@ -263,7 +265,7 @@ def solve_levels(params: PotentialParams, n: int) -> list[EnergyLevel]:
             n=n,
             energy=m * t,
             branch=classify_branch(params, m * t),
-            admissibility=admissibility(params, m * t),
+            admissibility=admissibility(unit, t),
             method="implicit_root",
             residual=fval,
             iterations=iterations,

@@ -137,6 +137,30 @@ def test_energy_compare_oracle_at_a_large_mass():
     assert float(doc["results"]["E_oracle"]) == pytest.approx(7.679477667701e59, rel=1e-10)
 
 
+def test_energy_compare_oracle_on_a_tiny_cubic_origin_exits_cleanly():
+    # q3 = 2e-216, where r_min^1.5 underflows to 0: the cubic seed must not
+    # divide by it, and a level the oracle cannot reach ends in a documented
+    # exit code.
+    result = run_cli(
+        "energy", "--m", "1", "--a1", "1e-215", "--b1", "0.5", "--a2", "1e-215",
+        "--b2", "0.6", "--n", "0", "--compare", "oracle",
+    )
+    assert result.returncode in (0, 3, 4)
+    assert "Traceback" not in result.stderr
+
+
+def test_energy_admissibility_is_judged_in_units_of_m():
+    # The m = 1 set (0.1, 0.5, 0.05, 0.3) at m = 1e-300, where a1^2 - a2^2
+    # in the caller's units is inf - inf: the level is judged in units of m.
+    result = run_cli(
+        "energy", "--m", "1e-300", "--a1", "1e299", "--b1", "0.5", "--a2", "5e298",
+        "--b2", "0.3", "--n", "0",
+    )
+    assert result.returncode == 0, result.stderr
+    doc = json.loads(result.stdout)
+    assert doc["results"]["admissibility"]["overall"] == "admissible"
+
+
 def test_wavefunction_table_auto_energy():
     result = run_cli(
         "wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5",

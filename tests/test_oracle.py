@@ -155,6 +155,19 @@ def test_oracle_level_holds_at_every_mass_scale(m):
     assert lo <= report.oracle_energy <= hi
 
 
+@pytest.mark.parametrize("a1, a2, b2", [
+    *((10.0 ** -k, 10.0 ** -k, 0.6) for k in range(50, 141, 10)),  # 1/r^3 origin
+    (1e-60, 0.0, 0.3), (1e-120, 0.0, 0.3),                        # 1/r^4 origin
+])
+def test_tiny_couplings_give_the_coulomb_plane_level(a1, a2, b2):
+    # The origin terms balance far below r = 1e-30, so the outward sweep's
+    # first steps are far shorter than 1e-45; the kernel's step floor is
+    # relative to r alone.  The level is the Coulomb-plane one.
+    report = deviation_report(PotentialParams(m=1.0, a1=a1, b1=0.5, a2=a2, b2=b2), 0)
+    assert report.shooting.node_count == 0
+    assert abs(report.oracle_energy - coulomb_plane_exact(0.5, b2, 0)) <= 1e-10
+
+
 @pytest.mark.parametrize("m", [1e-300, 1e-200, 1e160, 1e300])
 def test_both_solvers_give_the_unit_mass_levels_at_extreme_masses(m):
     # Both solve in units of m, so where m^2 leaves the float range the
@@ -473,14 +486,15 @@ def test_no_node_below_the_start_radius(params, bracket):
     # with the series' log derivative.
     dom = oracle._domain(params, *bracket)
     assert dom.r_min < dom.r_start <= dom.r_match
+    assert dom.seed is None
     for energy in bracket:
         kappa2, q1, q2, q3, q4 = oracle.u_series(params, energy)
         assert q3 == q4 == 0.0
         assert _origin_series_excess(kappa2, q1, q2, dom.r_start) <= 0.5
-        _, log_deriv = oracle._outward_seed(kappa2, q1, q2, q3, q4, dom.r_min)
+        log_deriv = oracle._origin_log_deriv(kappa2, q1, q2, dom.r_min)
         y, dy, nodes, status, _ = oracle.sweep(
             kappa2, q1, q2, q3, q4, dom.r_min, dom.r_start, 1.0, log_deriv,
-            dom.r_start - dom.r_min, 1e-12, 200_000)
+            1e-12, 200_000)
         assert status == 0
         assert nodes == 0
         series = oracle._origin_log_deriv(kappa2, q1, q2, dom.r_start)
