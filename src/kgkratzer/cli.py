@@ -148,7 +148,7 @@ def _params_from(ns, config, **overrides) -> PotentialParams:
 
 
 def _require_real_a(params: PotentialParams):
-    if params.a1 * params.a1 < params.a2 * params.a2:
+    if abs(params.a1) < abs(params.a2):
         raise DomainError("a imaginary: a1^2 < a2^2")
 
 

@@ -211,12 +211,18 @@ def u_series(params: PotentialParams, energy: float):
     return kappa2, q1, q2, q3, q4
 
 
-def origin_guard(q2: float, q3: float, q4: float) -> None:
-    """Reject supercritical origins: attraction stronger than -1/(4 r^2)."""
+def origin_power(q2: float, q3: float, q4: float) -> int:
+    """The power of 1/r that governs U at the origin: 4, 3 or 2.  Raises
+    FallToCenterError where that term admits no bound state; a NaN q4 or q3,
+    from couplings whose products overflow, raises nothing."""
+    if q4 > 0.0:
+        return 4
     if q4 < 0.0:
         raise FallToCenterError(
             f"U ~ {q4}/r^4 at the origin: attractive inverse-quartic, fall to center"
         )
+    if q3 > 0.0:
+        return 3
     if q4 == 0.0 and q3 < 0.0:
         raise FallToCenterError(
             f"U ~ {q3}/r^3 at the origin: attractive inverse-cube, fall to center"
@@ -226,6 +232,7 @@ def origin_guard(q2: float, q3: float, q4: float) -> None:
             f"inverse-square coefficient {q2} <= -1/4 at the origin: "
             "no self-adjoint ground state"
         )
+    return 2
 
 
 def admissibility(params: PotentialParams, energy: float) -> AdmissibilityReport:
@@ -260,7 +267,7 @@ def admissibility(params: PotentialParams, energy: float) -> AdmissibilityReport
 
     _, _, q2, q3, q4 = u_series(params, energy)
     try:
-        origin_guard(q2, q3, q4)
+        origin_power(q2, q3, q4)
         origin_subcritical = True
     except FallToCenterError as exc:
         origin_subcritical = False
@@ -270,21 +277,17 @@ def admissibility(params: PotentialParams, energy: float) -> AdmissibilityReport
 
     hard_ok = (a_real and sqrt_domain_ok and k_positive and energy_subluminal
                and origin_subcritical)
-    boundary = False
     if hard_ok:
+        # No hard flag failed, so reasons is empty until a boundary flag adds one.
         if coeffs.c is not None and -0.5 < coeffs.c < 0.0:
-            boundary = True
             reasons.append("c in (-1/2, 0): square-integrable boundary window")
         if coeffs.c == -0.5:
-            boundary = True
             reasons.append("c = -1/2 exactly")
         if coeffs.c == 0.0:
-            boundary = True
             reasons.append("c = 0 exactly")
         if coeffs.a == 0.0:
-            boundary = True
             reasons.append("a = 0 exactly")
-        overall = "boundary" if boundary else "admissible"
+        overall = "boundary" if reasons else "admissible"
     else:
         if sqrt_domain_ok and not c_nonnegative:
             reasons.append("c < 0")

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 from ._radial import STATUS_OK, sweep
 from ._search import _derivative, _horner, _real_roots, bracketed_search
 from .errors import ConvergenceError, DomainError, FallToCenterError, NoBoundStateError
-from .model import PotentialParams, in_units_of_m, level_index, origin_guard, u_series
+from .model import PotentialParams, in_units_of_m, level_index, origin_power, u_series
 from .spectrum import EnergyLevel, select_level, solve_levels
 
 __all__ = [
@@ -228,19 +228,19 @@ def _domain(params: PotentialParams, lo: float, hi: float) -> _Domain:
     roots of U as a quartic in 1/r, or where U >= 0 throughout, the radius
     of U's minimum.
 
-    r_min and the outward seed come from the term of U that dominates at the
-    origin.  Where it is q4/r^4 or q3/r^3, the sweep starts at r_min from
-    psi'/psi of the regular solution's leading WKB factor, which does not
-    depend on E, and ``seed`` holds it.  Where U ~ q2/r^2, the sweep starts
-    at r_start, below which no energy of the bracket has a node
-    (_start_radius), from the Frobenius series, which depends on E: ``seed``
-    is None, and _defect_on_domain sums the series (_origin_log_deriv).
+    r_min and the outward seed follow the power of 1/r that governs U at the
+    origin (origin_power).  Under q4/r^4 or q3/r^3 the sweep starts at r_min
+    from psi'/psi of the regular solution's leading WKB factor, free of E,
+    which ``seed`` holds.  Under q2/r^2 it starts at r_start, below which no
+    energy of the bracket has a node (_start_radius), from the Frobenius
+    series, which depends on E: ``seed`` is None, and _defect_on_domain sums
+    the series (_origin_log_deriv).
     """
     energy = 0.5 * (lo + hi)
     kappa2, q1, q2, q3, q4 = u_series(params, energy)
     if kappa2 <= 0.0:
         raise DomainError(f"shooting needs E^2 < m^2, got E/m={energy}")
-    origin_guard(q2, q3, q4)
+    power = origin_power(q2, q3, q4)
     kappa = math.sqrt(kappa2)
 
     # Outer radius: far beyond both the decay scale and the turning region.
@@ -251,17 +251,15 @@ def _domain(params: PotentialParams, lo: float, hi: float) -> _Domain:
         r_turn = max(r_turn, math.sqrt(-q2) / kappa)
     r_max = max(_TAIL_LENGTHS / kappa, _PEAK_FACTOR * r_turn)
 
-    # Origin radius and outward seed per the dominant balance of U near r = 0:
-    # psi ~ r^(1 + q3/(2 sqrt(q4))) e^(-sqrt(q4)/r) under q4/r^4, and
-    # psi ~ r^(3/4) e^(-2 sqrt(q3/r)) under q3/r^3, with q3 and q4 free of E.
-    # The cubic seed is written sqrt(q3/r)/r, since r^1.5 underflows to 0 at
-    # tiny q3.
+    # The WKB factors: psi ~ r^(1 + q3/(2 sqrt(q4))) e^(-sqrt(q4)/r) under
+    # q4/r^4, psi ~ r^(3/4) e^(-2 sqrt(q3/r)) under q3/r^3.  The cubic seed
+    # is written sqrt(q3/r)/r, since r^1.5 underflows to 0 at tiny q3.
     r_cap = 1e-3 * r_max
-    if q4 > 0.0:
+    if power == 4:
         a_u = math.sqrt(q4)
         r_min = min(a_u / _ORIGIN_EXPONENT, r_cap)
         seed = a_u / (r_min * r_min) + (1.0 + q3 / (2.0 * a_u)) / r_min
-    elif q3 > 0.0:
+    elif power == 3:
         r_min = min(4.0 * q3 / (_ORIGIN_EXPONENT * _ORIGIN_EXPONENT), r_cap)
         seed = 0.75 / r_min + math.sqrt(q3 / r_min) / r_min
     else:
@@ -379,7 +377,7 @@ def _clip(params: PotentialParams, bracket: tuple[float, float]) -> tuple[float,
         raise DomainError(f"bracket {bracket} (in units of m) does not intersect (-1, 1)")
     _, _, q2_lo, q3, q4 = u_series(params, lo)
     q2_hi = u_series(params, hi)[2]
-    if q4 == 0.0 and q3 == 0.0 and (q2_lo > -0.25) != (q2_hi > -0.25):
+    if origin_power(max(q2_lo, q2_hi), q3, q4) == 2 and min(q2_lo, q2_hi) <= -0.25:
         e_critical = lo + (-0.25 - q2_lo) * (hi - lo) / (q2_hi - q2_lo)
         if q2_lo > -0.25:
             hi = e_critical - 1e-9
@@ -390,8 +388,6 @@ def _clip(params: PotentialParams, bracket: tuple[float, float]) -> tuple[float,
                 f"inverse-square coefficient <= -1/4 at the origin for all of "
                 f"the bracket but a sliver at E={e_critical}"
             )
-    else:
-        origin_guard(max(q2_lo, q2_hi), q3, q4)
     return lo, hi
 
 

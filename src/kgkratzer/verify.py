@@ -23,7 +23,7 @@ import math
 import random
 
 from .model import PotentialParams, admissibility, derived_coefficients
-from .spectrum import approx_energy, closed_form, solve_levels, spectrum_residual
+from .spectrum import approx_energy, closed_form, select_level, solve_levels, spectrum_residual
 from .wavefunction import (
     chi_peak_radius,
     eval_ground_state,
@@ -179,8 +179,8 @@ def suite_manifolds() -> dict:
     worst_norm = 0.0
     for b1, b2 in ((0.8, 0.0), (0.5, 0.25), (0.25, 0.2)):
         params = PotentialParams(m=1.0, b1=b1, b2=b2)
-        levels = [lvl for lvl in solve_levels(params, 0) if lvl.branch == "particle"]
-        result = normalization(params, levels[-1].energy)
+        level = select_level(solve_levels(params, 0), "particle")
+        result = normalization(params, level.energy)
         gap = abs(result.integral - result.closed_form_integral)
         worst_norm = max(worst_norm, gap / result.closed_form_integral)
 
@@ -215,7 +215,7 @@ def suite_limits() -> dict:
     for b2 in (0.2, 0.1, 0.05):
         params = PotentialParams(m=1.0, a2=0.1, b2=b2)
         series = approx_energy(params, 0, "pure_vector_series")
-        root = max(lvl.energy for lvl in solve_levels(params, 0))
+        root = select_level(solve_levels(params, 0), "particle").energy
         gaps_vector.append(abs(series - root))
         atlas.append({"case": "pure_vector_series", "b2": b2, "series": series,
                       "implicit_root": root, "gap": gaps_vector[-1]})

@@ -43,6 +43,18 @@ def test_invalid_couplings_exit_2():
     assert "a imaginary" in result.stderr
 
 
+@pytest.mark.parametrize("m, a1, a2", [("1", "1", "2"), ("1e-200", "1e200", "2e200")])
+def test_imaginary_a_exits_2_at_every_mass(m, a1, a2):
+    # At m = 1e-200 the squares of a1 and a2 overflow in the caller's units;
+    # the gate must not depend on them.
+    result = run_cli(
+        "energy", "--m", m, "--a1", a1, "--b1", "0.5", "--a2", a2, "--b2", "0.3",
+        "--n", "0",
+    )
+    assert result.returncode == 2
+    assert result.stderr == "ERROR: a imaginary: a1^2 < a2^2\n"
+
+
 def test_no_bound_state_exit_3():
     result = run_cli("spectrum", "--m", "1", "--nmax", "1")
     assert result.returncode == 3

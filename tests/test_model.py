@@ -9,6 +9,7 @@ from kgkratzer import (
     PotentialParams,
     admissibility,
     derived_coefficients,
+    model,
     oracle,
     potentials_at,
     solve_levels,
@@ -229,6 +230,30 @@ def test_supercritical_origin_is_inadmissible():
     with pytest.raises(FallToCenterError) as guard:
         oracle._domain(params, level.energy, level.energy)
     assert report.reasons == (str(guard.value),)
+
+
+@pytest.mark.parametrize("q2, q3, q4, power", [
+    (-3.0, -2.0, 1e-300, 4),   # any repulsive 1/r^4 term governs
+    (-3.0, 1e-300, 0.0, 3),    # else any repulsive 1/r^3 term
+    (-0.2499, 0.0, 0.0, 2),    # else the inverse square, subcritical
+])
+def test_origin_power_names_the_governing_term(q2, q3, q4, power):
+    assert model.origin_power(q2, q3, q4) == power
+
+
+@pytest.mark.parametrize("q2, q3, q4, message", [
+    (1.0, 1.0, -0.5,
+     "U ~ -0.5/r^4 at the origin: attractive inverse-quartic, fall to center"),
+    (1.0, -0.5, 0.0,
+     "U ~ -0.5/r^3 at the origin: attractive inverse-cube, fall to center"),
+    (-0.25, 0.0, 0.0,
+     "inverse-square coefficient -0.25 <= -1/4 at the origin: "
+     "no self-adjoint ground state"),
+])
+def test_origin_power_rejects_each_supercritical_origin(q2, q3, q4, message):
+    with pytest.raises(FallToCenterError) as guard:
+        model.origin_power(q2, q3, q4)
+    assert str(guard.value) == message
 
 
 def test_admissible_verdict_means_the_oracle_can_start_at_the_origin():

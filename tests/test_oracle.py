@@ -243,6 +243,16 @@ def test_eigensolve_clips_a_supercritical_bracket_end():
         kg_eigensolve(params, 0, (-0.7, -0.5))
 
 
+def test_eigensolve_clips_a_supercritical_bracket_start():
+    # V_V = -V_S with a = -1/4: q2 = -(1 - E)/2 exceeds -1/4 only above
+    # E = m/2, so the lower end of the bracket is cut there, and a bracket
+    # that reaches past it by less than the cut's margin leaves nothing.
+    params = PotentialParams(m=1.0, a1=-0.25, b1=0.5, a2=0.25, b2=-0.5)
+    assert oracle._clip(params, (0.2, 0.8)) == (0.500000001, 0.8)
+    with pytest.raises(FallToCenterError, match="but a sliver at E=0.5"):
+        kg_eigensolve(params, 0, (0.2, 0.5 + 5e-10))
+
+
 def _count_oracle_work(monkeypatch):
     counts = {"defects": 0, "sweeps": 0, "steps": 0, "outward_sweeps": 0, "outward_steps": 0}
     defect_on_domain, sweep = oracle._defect_on_domain, oracle.sweep

@@ -18,6 +18,7 @@ from kgkratzer import (
     spectrum,
     spectrum_residual,
 )
+from kgkratzer._search import _next_trial, bracketed_search
 
 SQRT2 = math.sqrt(2.0)
 
@@ -321,6 +322,24 @@ def test_search_converging_on_its_last_allowed_trial_succeeds(monkeypatch):
     (level,) = solve_levels(params, 0)
     assert level.iterations == 2
     assert level == default
+
+
+def test_search_collapses_onto_an_end_where_g_vanishes():
+    def never(e):
+        raise AssertionError(f"g evaluated at {e}")
+
+    assert bracketed_search(never, 0.3, 1.0, 0.0, 0.7, 0.5, 1e-9, 50) == (0.3, 0.3, 0.0, 0.0, 0)
+
+
+def test_next_trial_takes_the_secant_where_two_g_agree():
+    # g0 = g1 leaves no inverse quadratic: the secant through the latest two.
+    e = _next_trial([-1.0, 0.5, 1.0], [-1.0, -1.0, 2.0], 0.5, 1.0, 1e-3)
+    assert e == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+def test_next_trial_bisects_without_an_interpolant():
+    # g1 = g2 leaves neither interpolant: the midpoint of the bracket.
+    assert _next_trial([0.0, 0.9, 1.0], [-1.0, 2.0, 2.0], 0.0, 1.0, 1e-3) == 0.5
 
 
 def test_levels_of_a_badly_scaled_polynomial_are_polished():
