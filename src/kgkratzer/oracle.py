@@ -66,14 +66,22 @@ _EPS = sys.float_info.epsilon
 # The adaptive controller sets every step from the local error _RTOL, and
 # each sweep may take _MAX_STEPS accepted steps.  The origin radius is chosen
 # so the decaying origin factor contributes _ORIGIN_EXPONENT e-folds, and
-# _domain fixes the outward seed there; the outer radius covers _TAIL_LENGTHS
-# decay lengths 1/kappa and _PEAK_FACTOR times the turning-region scale.  The
-# inward sweep starts there from the asymptotic series of the decaying
-# solution, accurate enough that 12 decay lengths suffice.
+# _domain fixes the outward seed there.  The inward sweep starts at r_max
+# from the optimally truncated asymptotic series of the decaying solution,
+# whose relative error is about the first term it leaves out,
+# e^(-2 kappa r_max) once the series is asymptotic.  The sweep damps it by
+# e^(-2 kappa (r_max - r_match)), and r_match <= r_max/4, so at r_match it
+# is at most e^(-3.5 kappa r_max).  r_max is where that equals _RTOL,
+# kappa r_max = ln(1/_RTOL)/3.5 ~ 6.6, or _PEAK_FACTOR times the
+# turning-region scale if that is farther; where the term left out there
+# exceeds e^(-2 kappa r), r_max moves out until it, times
+# e^(-1.5 kappa r_max), is _RTOL.  Each series sum may take _MAX_TERMS
+# terms; a NaN coefficient passes none of their stop tests, so it ends in
+# ConvergenceError.
 _RTOL = 1e-10
 _MAX_STEPS = 200_000
+_MAX_TERMS = 1000
 _ORIGIN_EXPONENT = 30.0
-_TAIL_LENGTHS = 12.0
 _PEAK_FACTOR = 3.0
 
 
@@ -133,16 +141,14 @@ def _origin_log_deriv(kappa2, q1, q2, r):
     p = 0.5 + math.sqrt(0.25 + q2)
     t1, t2 = 1.0, 0.0          # t_(j-1), t_(j-2)
     total, r_slope = 1.0, 0.0  # sum of t_j, and r times its derivative
-    j = 1
-    while True:
+    for j in range(1, _MAX_TERMS + 1):
         t = (q1 * t1 + kappa2 * r * t2) * r / (j * (2.0 * p + j - 1.0))
         total += t
         r_slope += j * t
         if abs(t) + abs(t1) <= _EPS * abs(total):
-            break
+            return (p + r_slope / total) / r
         t1, t2 = t, t1
-        j += 1
-    return (p + r_slope / total) / r
+    raise ConvergenceError(f"origin series at r={r} did not settle in {_MAX_TERMS} terms")
 
 
 def _tail_log_deriv(kappa, q1, q2, q3, q4, r):
@@ -152,23 +158,34 @@ def _tail_log_deriv(kappa, q1, q2, q3, q4, r):
     with sigma = -q1/(2 kappa), c_0 = 1 and
     2 kappa J c_J = [q2 - (sigma-J+1)(sigma-J)] c_(J-1) + q3 c_(J-2) + q4 c_(J-3)
     (substitute the series into psi'' = U psi; DLMF 13.19 for q3 = q4 = 0).
-    The series diverges, so the sum stops before its first term that does
-    not shrink.  The terms t_j = c_j r^-j are recurred directly.
+    The series diverges, so the sum stops before its first term that is no
+    smaller than any of the three before it: each term is made from those
+    three, so one that cancels to near zero does not end the sum early.  It
+    also stops once three successive terms lie below an ulp of the sum.
+    The terms t_j = c_j r^-j are recurred directly.  Returns psi'/psi and
+    the size of the last term reached, the first one left out or one below
+    an ulp of the sum: the seed's relative error.
     """
     sigma = -q1 / (2.0 * kappa)
     t1, t2, t3 = 1.0, 0.0, 0.0  # t_(J-1), t_(J-2), t_(J-3)
+    s1, s2, s3 = 1.0, 0.0, 0.0  # and their sizes
     total, r_slope = 1.0, 0.0   # sum of t_j, and r times its derivative
-    j = 1
-    while True:
+    for j in range(1, _MAX_TERMS + 1):
         t = ((q2 - (sigma - j + 1.0) * (sigma - j)) * t1
              + (q3 * t2 + q4 * t3 / r) / r) / (2.0 * kappa * j * r)
-        if abs(t) >= abs(t1):
+        size = abs(t)
+        if size >= s1 and size >= s2 and size >= s3:
             break
         total += t
         r_slope -= j * t
+        if size + s1 + s2 <= _EPS * abs(total):
+            break
         t1, t2, t3 = t, t1, t2
-        j += 1
-    return -kappa + (sigma + r_slope / total) / r
+        s1, s2, s3 = size, s1, s2
+    else:
+        raise ConvergenceError(
+            f"tail series at r={r} did not reach its smallest term in {_MAX_TERMS} terms")
+    return -kappa + (sigma + r_slope / total) / r, size
 
 
 def _start_radius(params: PotentialParams, lo: float, hi: float,
@@ -195,8 +212,7 @@ def _start_radius(params: PotentialParams, lo: float, hi: float,
     def node_free(r: float) -> bool:
         t1, t2 = 1.0, 0.0  # T_(j-1), T_(j-2)
         total = 0.0        # sum of T_j for j >= 1
-        j = 1
-        while True:
+        for j in range(1, _MAX_TERMS + 1):
             t = (q1 * t1 + kappa2 * r * t2) * r / (j * (two_p + j - 1.0))
             total += t
             if total > 0.5:
@@ -204,7 +220,7 @@ def _start_radius(params: PotentialParams, lo: float, hi: float,
             if t + t1 <= _EPS * total:
                 return True
             t1, t2 = t, t1
-            j += 1
+        raise ConvergenceError(f"origin majorant at r={r} did not settle in {_MAX_TERMS} terms")
 
     if node_free(r_match):
         return r_match
@@ -243,13 +259,18 @@ def _domain(params: PotentialParams, lo: float, hi: float) -> _Domain:
     power = origin_power(q2, q3, q4)
     kappa = math.sqrt(kappa2)
 
-    # Outer radius: far beyond both the decay scale and the turning region.
+    # Outer radius: where the inward seed's error, damped down to r_match,
+    # is at most _RTOL (see _RTOL), and beyond the turning region.
     r_turn = 0.0
     if q1 < 0.0:
         r_turn = -q1 / kappa2
     if q2 < 0.0:
         r_turn = max(r_turn, math.sqrt(-q2) / kappa)
-    r_max = max(_TAIL_LENGTHS / kappa, _PEAK_FACTOR * r_turn)
+    r_tail = max(math.log(1.0 / _RTOL) / (3.5 * kappa), _PEAK_FACTOR * r_turn)
+    _, omitted = _tail_log_deriv(kappa, q1, q2, q3, q4, r_tail)
+    r_max = max(r_tail, math.log(max(omitted, _RTOL) / _RTOL) / (1.5 * kappa))
+    if not r_max < math.inf:
+        raise DomainError(f"no finite outer radius at E/m={energy}: U's coefficients overflow")
 
     # The WKB factors: psi ~ r^(1 + q3/(2 sqrt(q4))) e^(-sqrt(q4)/r) under
     # q4/r^4, psi ~ r^(3/4) e^(-2 sqrt(q3/r)) under q3/r^3.  The cubic seed
@@ -328,7 +349,7 @@ def _defect_on_domain(params, energy, dom: _Domain):
 
     y_in, dy_in, nodes_in, status_in, _ = sweep(
         kappa2, q1, q2, q3, q4,
-        dom.r_max, dom.r_match, 1.0, _tail_log_deriv(kappa, q1, q2, q3, q4, dom.r_max),
+        dom.r_max, dom.r_match, 1.0, _tail_log_deriv(kappa, q1, q2, q3, q4, dom.r_max)[0],
         _RTOL, _MAX_STEPS,
     )
     if status_in != STATUS_OK:

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import signal
 from dataclasses import replace
 
 import pytest
@@ -15,7 +17,8 @@ from kgkratzer import (
     oracle,
     solve_levels,
 )
-from kgkratzer.model import in_units_of_m
+from kgkratzer.model import admissibility, in_units_of_m
+from kgkratzer.verify import sample_admissible
 
 EQUAL = PotentialParams(m=1.0, b1=0.5, b2=0.5)
 EQUAL_A = PotentialParams(m=1.0, a1=0.5, b1=0.5, a2=0.5, b2=0.5)
@@ -370,8 +373,8 @@ def test_flat_zero_of_the_mismatch_still_converges(monkeypatch):
 
 
 @pytest.mark.parametrize("params, bracket, energy, evaluations", [
-    (EQUAL, (0.55, 0.65), 0.5999999999981707, 4),
-    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197762456, 10),
+    (EQUAL, (0.55, 0.65), 0.5999999999982364, 4),
+    (PotentialParams(m=1.0, b1=0.8), (0.6, 0.95), 0.8323518197762562, 10),
 ])
 def test_eigensolve_trial_sequence_is_pinned(params, bracket, energy, evaluations):
     # Exact energies and evaluation counts of the midpoint-first Brent search;
@@ -408,12 +411,138 @@ def test_series_seeded_tail_keeps_sweeps_short(monkeypatch):
     (EQUAL_A, [0, 1, 2], 45),
 ])
 def test_eighth_order_sweeps_stay_short(monkeypatch, params, levels, bound):
-    # The DOP853 step takes 17-18 steps per sweep on the three Coulomb-plane
+    # The DOP853 step takes 12 steps per sweep on the three Coulomb-plane
     # cases and 28 on EQUAL_A; a Cash-Karp 4(5) step took 87-111 and 170.
     counts = _count_oracle_work(monkeypatch)
     for n in levels:
         deviation_report(params, n)
     assert counts["steps"] / counts["sweeps"] <= bound
+
+
+@pytest.mark.parametrize("b1, b2", [(0.8, 0.0), (0.8, -0.2), (0.4, 0.2)])
+def test_inward_sweeps_start_where_the_tail_seed_is_accurate(monkeypatch, b1, b2):
+    # With r_max set from the tail seed's error budget these take 11.65,
+    # 12.10 and 12.25 steps per sweep; from 12 decay lengths out they took
+    # 16.75, 17.35 and 18.12.  The bound is 10% over the largest.
+    counts = _count_oracle_work(monkeypatch)
+    deviation_report(PotentialParams(m=1.0, b1=b1, b2=b2), 0)
+    assert counts["steps"] / counts["sweeps"] <= 13.5
+
+
+def _seed_guard_cases():
+    """(params, energy) of the reduced problem (m = 1): Coulomb-plane levels,
+    with q2 within 1e-6 to 1e-1 of -1/4 and near-threshold levels of weak
+    couplings among them; levels of both manifolds; admissible sample sets;
+    and admissible sets with a1 up to 10, where the tail series at
+    kappa r = ln(1/_RTOL)/3.5 is still far from its smallest term."""
+    rng = random.Random(26)
+    cases = []
+    for _ in range(40):
+        b1 = rng.uniform(0.1, 1.0)
+        b2 = rng.uniform(-1.0, 1.0) * math.sqrt(b1 * b1 + 0.2)
+        cases.append((b1, b2, rng.randrange(4)))
+    for _ in range(20):
+        b1 = rng.uniform(0.3, 1.0)
+        b2 = -math.sqrt(b1 * b1 + 0.25 - 10.0 ** rng.uniform(-6.0, -1.0))
+        cases.append((b1, b2, rng.randrange(3)))
+    for _ in range(20):
+        b1 = 10.0 ** rng.uniform(-3.0, -0.5)
+        cases.append((b1, rng.uniform(-1.0, 1.0) * b1, rng.randrange(4)))
+    cases = [(PotentialParams(m=1.0, b1=b1, b2=b2), coulomb_plane_exact(b1, b2, n))
+             for b1, b2, n in cases]
+    for _ in range(40):
+        a, b, sign = rng.uniform(0.0, 2.0), rng.uniform(0.05, 0.9), rng.choice((1.0, -1.0))
+        params = PotentialParams(m=1.0, a1=a, b1=b, a2=sign * a, b2=sign * b)
+        cases += [(params, level.energy) for level in solve_levels(params, rng.randrange(3))]
+    for _ in range(40):
+        params, energy = sample_admissible(rng)
+        cases.append((in_units_of_m(params), energy / params.m))
+    strong = 0
+    while strong < 40:
+        a1 = rng.uniform(0.0, 10.0)
+        params = PotentialParams(m=1.0, a1=a1, b1=rng.uniform(-0.9, 0.9),
+                                 a2=rng.uniform(-a1, a1), b2=rng.uniform(-0.9, 0.9))
+        energy = rng.uniform(-1.0, 1.0)
+        if admissibility(params, energy).bound_state_ok:
+            cases.append((params, energy))
+            strong += 1
+    return cases
+
+
+def _inward_log_deriv(params, energy, r_start, r_end):
+    """psi'/psi at r_end of the inward sweep started at r_start from the tail seed."""
+    kappa2, q1, q2, q3, q4 = oracle.u_series(params, energy)
+    seed, _ = oracle._tail_log_deriv(math.sqrt(kappa2), q1, q2, q3, q4, r_start)
+    y, dy, _, status, _ = oracle.sweep(kappa2, q1, q2, q3, q4, r_start, r_end, 1.0, seed,
+                                       oracle._RTOL, oracle._MAX_STEPS)
+    assert status == 0
+    return dy / y
+
+
+def test_inward_seed_is_as_good_as_a_start_twelve_decay_lengths_out():
+    # The inward sweep from r_max arrives at r_match with the psi'/psi of a
+    # sweep from max(12/kappa, 3 r_turn), the outer radius this replaced.
+    # Errors are taken relative to |psi'/psi|, or to kappa where psi'/psi is
+    # smaller, near a peak of psi, where a relative error is ill-conditioned.
+    # Measured: 1.4e-9 at most, on a set with a1 = 9 where the old start is
+    # the less accurate one; 4.1e-11 on the other families.  Started at
+    # kappa r = ln(1/_RTOL)/3.5 and never farther out, 3.9e-7.
+    cases = _seed_guard_cases()
+    assert len(cases) == 200
+    worst = 0.0
+    for params, energy in cases:
+        dom = oracle._domain(params, energy, energy)
+        kappa2, q1, q2, _, _ = oracle.u_series(params, energy)
+        kappa = math.sqrt(kappa2)
+        r_turn = max(-q1 / kappa2, math.sqrt(max(-q2, 0.0)) / kappa, 0.0)
+        old = _inward_log_deriv(params, energy, max(12.0 / kappa, 3.0 * r_turn), dom.r_match)
+        new = _inward_log_deriv(params, energy, dom.r_max, dom.r_match)
+        worst = max(worst, abs(new - old) / max(abs(old), kappa))
+    assert worst <= 1e-8
+
+
+@contextlib.contextmanager
+def _alarm(seconds):
+    """Raise TimeoutError in the block once it has run for ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("call", [
+    # q2 = b1^2 - b2^2 is inf - inf in units of m.
+    lambda: oracle._domain(PotentialParams(1.0, 0.0, 1e160, 0.0, 1e160), 0.2, 0.8),
+    # q4 = a1^2 - a2^2 is inf - inf.
+    lambda: kg_eigensolve(PotentialParams(1.0, 3e154, 0.5, 2e154, 0.3), 0, (0.2, 0.8)),
+], ids=["q2-nan-domain", "q4-nan-eigensolve"])
+def test_overflowing_couplings_raise_instead_of_hanging(call):
+    with _alarm(5), pytest.raises(ConvergenceError):
+        call()
+
+
+def test_an_outer_radius_that_overflows_is_a_domain_error():
+    # At b1 = 1.2e154, sigma^2 overflows, so the tail series' first term is
+    # infinite, and so is the radius that would damp it to _RTOL.
+    with _alarm(5), pytest.raises(DomainError, match="no finite outer radius"):
+        oracle._domain(PotentialParams(1.0, 0.0, 1.2e154, 0.0, 0.0), 0.2, 0.8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: oracle._tail_log_deriv(0.8, -1.0, math.nan, 0.0, 0.0, 8.0),
+    lambda: oracle._origin_log_deriv(0.64, -1.0, math.nan, 1e-3),
+    lambda: oracle._start_radius(PotentialParams(1.0, 0.0, 1e160, 0.0, 1e160), 0.2, 0.8, 1e-3, 1.0),
+], ids=["tail", "origin", "start-radius"])
+def test_each_series_sum_fails_on_a_nan_coefficient(call):
+    # NaN passes none of the stop tests, so the term budget ends the sum.
+    with _alarm(5), pytest.raises(ConvergenceError, match="terms"):
+        call()
 
 
 def test_tail_seed_is_the_log_derivative_of_the_decaying_solution():
@@ -424,7 +553,7 @@ def test_tail_seed_is_the_log_derivative_of_the_decaying_solution():
     kappa = math.sqrt(kappa2)
     for r in (10.0, 40.0):
         exact = -kappa + (2.0 * r - 1.0 / kappa) / (r * r - r / kappa)
-        assert oracle._tail_log_deriv(kappa, q1, q2, q3, q4, r) == pytest.approx(exact, rel=1e-14)
+        assert oracle._tail_log_deriv(kappa, q1, q2, q3, q4, r)[0] == pytest.approx(exact, rel=1e-14)
 
 
 def test_widened_bracket_reuses_the_inner_ends(monkeypatch):
