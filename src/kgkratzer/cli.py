@@ -13,19 +13,23 @@ Output contract:
 Exit codes: 0 success, 2 invalid parameters, 3 no bound state found,
 4 convergence failure (and 1 for a verification suite that ran but failed).
 
-Integer flags are bounded so that no request can ask for unbounded work or
-memory: spectrum --nmax and --n (on energy, wavefunction and scan) in
-[0, 1000], wavefunction --points in [2, 1000000], scan --steps in
-[1, 10000] and verify --cases in [0, 100000].  A value outside its range
-exits 2, and so does a config value that its flag's type cannot hold.
+One parser reads every input.  The values of a --config JSON object are
+parsed as the subcommand's own flags, with the same types, bounds and
+choices; flags win over them, a key with no such flag is ignored, and null
+counts as absent.  Integer flags are bounded so that no request can ask for
+unbounded work or memory: spectrum --nmax and --n (on energy, wavefunction
+and scan) in [0, 1000], wavefunction --points in [2, 1000000], scan --steps
+in [1, 10000] and verify --cases in [0, 100000].
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -90,61 +94,70 @@ class _Diagnostics:
         print(line, file=sys.stderr)
 
 
-def _load_config(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise DomainError(f"config file {path} must contain a JSON object")
-    return data
+def _finite(text: str) -> float:
+    with contextlib.suppress(ValueError):
+        if math.isfinite(value := float(text)):
+            return value
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def _integer(value) -> int:
-    """int() that refuses to truncate: 2.0 reads as 2, 1.9 is an error."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError("not an integer")
-    return int(value)
+def _integer(text: str) -> int:
+    """An integer read exactly; integral text such as 2.0 or 1e3 reads too, 1.9 does not."""
+    with contextlib.suppress(ValueError):
+        return int(text)
+    with contextlib.suppress(ValueError):
+        if float(text).is_integer():
+            return int(float(text))
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
-def _resolve(ns, config, key, default=None, cast=None):
-    """Flag wins over config file; config wins over the built-in default.
-
-    A JSON null in the config counts as absent, so the default applies.
-    """
-    value = getattr(ns, key.replace("-", "_"), None)
-    if value is None:
-        value = config.get(key)
-    if value is None:
-        value = default
-    if value is None or cast is None:
+def _integer_in(least: int, cap: int):
+    """The ``type`` of an integer flag that must lie in [least, cap]."""
+    def parse(text: str) -> int:
+        value = _integer(text)
+        if not least <= value <= cap:
+            raise argparse.ArgumentTypeError(f"must be in [{least}, {cap}], got {value}")
         return value
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"config key {key!r}: cannot read {value!r}: {exc}") from exc
+    return parse
 
 
-def _count(ns, config, key, least, cap, default=None) -> int:
-    """An integer flag, resolved like any other, that must lie in [least, cap]."""
-    value = _resolve(ns, config, key, default=default, cast=_integer)
-    if value is None:
-        raise DomainError(f"--{key} is required")
-    if not least <= value <= cap:
-        raise DomainError(f"--{key} must be in [{least}, {cap}], got {value}")
-    return value
+def _read_config(parser, path):
+    """Parse the config file with ``parser``'s flags, and make its values their defaults.
+
+    Nulls and keys with no flag are skipped.  A switch takes true or false; any
+    other flag a string or a number, read as its text (str() of a float is its repr).
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            config = json.load(handle)
+        except RecursionError:
+            raise DomainError(f"config file {path} is nested too deeply") from None
+    if not isinstance(config, dict):
+        raise DomainError(f"config file {path} must contain a JSON object")
+    values = argparse.Namespace()
+    for key, value in config.items():
+        action = parser._option_string_actions.get(f"--{key}")
+        if value is None or action is None or action.dest in ("help", "config"):
+            continue
+        switch = action.nargs == 0
+        try:
+            if isinstance(value, bool) != switch or isinstance(value, (list, dict)):
+                expected = "true or false" if switch else "a string or a number"
+                raise DomainError(f"expected {expected}, got {json.dumps(value)}")
+            tokens = ([f"--{key}"] if value else []) if switch else [f"--{key}={value}"]
+            parser.parse_args(tokens, values)
+        except DomainError as exc:
+            raise DomainError(f"config key {key!r}: {exc}") from None
+    parser.set_defaults(**vars(values))
 
 
-def _params_from(ns, config, **overrides) -> PotentialParams:
-    """Couplings from flags, config and defaults; ``overrides`` win over all."""
-    values = {}
-    for key in _PARAM_KEYS:
-        value = overrides.get(key)
-        if value is None:
-            default = None if key == "m" else 0.0
-            value = _resolve(ns, config, key, default=default, cast=float)
-        if value is None:
-            raise DomainError(f"missing required parameter --{key}")
-        values[key] = value
-    return PotentialParams(**values)
+def _params_from(ns, **overrides) -> PotentialParams:
+    """Couplings from the flags, 0 where unset; ``overrides`` win."""
+    values = {**{key: getattr(ns, key) for key in _PARAM_KEYS}, **overrides}
+    if values["m"] is None:
+        raise DomainError("missing required parameter --m")
+    return PotentialParams(**{key: 0.0 if value is None else value
+                              for key, value in values.items()})
 
 
 def _require_real_a(params: PotentialParams):
@@ -164,12 +177,12 @@ def _level_dict(level) -> dict:
     }
 
 
-def _request(ns, config, subcommand, params, fmt=None, **options) -> dict:
-    """The request block: --format and --output resolved once, unset values dropped."""
+def _request(ns, subcommand, params, **options) -> dict:
+    """The request block, with unset values dropped."""
     request = {
         "subcommand": subcommand,
-        "format": fmt or _resolve(ns, config, "format", default="json"),
-        "output": _resolve(ns, config, "output") or None,
+        "format": ns.format,
+        "output": ns.output or None,
         "params": params,
         **options,
     }
@@ -200,21 +213,21 @@ def _emit(request: dict, results, diag, header=(), rows=()):
         sys.stdout.write(payload)
 
 
-def _cmd_spectrum(ns, config, diag) -> int:
-    params = _params_from(ns, config)
+def _cmd_spectrum(ns, diag) -> int:
+    params = _params_from(ns)
     _require_real_a(params)
-    n_max = _count(ns, config, "nmax", 0, 1000)
-    branch = _resolve(ns, config, "branch", default="all")
+    if ns.nmax is None:
+        raise DomainError("--nmax is required")
 
-    run = solve_spectrum(params, n_max)
+    run = solve_spectrum(params, ns.nmax)
     levels = run.levels()
-    if branch != "all":
-        levels = [lvl for lvl in levels if lvl.branch == branch]
+    if ns.branch != "all":
+        levels = [lvl for lvl in levels if lvl.branch == ns.branch]
     for n, message in run.failures:
         diag.warn(f"level n={n}: {message}")
 
     rows = [_level_dict(lvl) for lvl in levels]
-    _emit(_request(ns, config, "spectrum", asdict(params), nmax=n_max, branch=branch),
+    _emit(_request(ns, "spectrum", asdict(params), nmax=ns.nmax, branch=ns.branch),
           {"levels": rows}, diag, ("n", "branch", "E", "method", "residual"), rows)
     if run.failures:
         return 4
@@ -247,13 +260,12 @@ def _level(params, n, branch):
     return level
 
 
-def _cmd_energy(ns, config, diag) -> int:
-    params = _params_from(ns, config)
-    n = _count(ns, config, "n", 0, 1000)
-    method_raw = _resolve(ns, config, "method", default="implicit")
-    branch = _resolve(ns, config, "branch", default="particle")
-    compare = _resolve(ns, config, "compare")
-    method, case = _parse_method(method_raw)
+def _cmd_energy(ns, diag) -> int:
+    params = _params_from(ns)
+    if ns.n is None:
+        raise DomainError("--n is required")
+    n, branch, compare = ns.n, ns.branch, ns.compare
+    method, case = _parse_method(ns.method)
     if method in ("implicit", "oracle") or compare == "oracle":
         _require_real_a(params)
 
@@ -304,36 +316,30 @@ def _cmd_energy(ns, config, diag) -> int:
             record["E_oracle"] = report.oracle_energy
             record["deviation"] = abs(energy - report.oracle_energy)
 
-    _emit(_request(ns, config, "energy", asdict(params), n=n, method=method_raw,
+    _emit(_request(ns, "energy", asdict(params), n=n, method=ns.method,
                    branch=branch, compare=compare),
           record, diag,
           ("n", "branch", "E", "method", "residual", "E_oracle", "deviation"), [record])
     return 0
 
 
-def _cmd_wavefunction(ns, config, diag) -> int:
-    params = _params_from(ns, config)
+def _cmd_wavefunction(ns, diag) -> int:
+    params = _params_from(ns)
     _require_real_a(params)
-    raw_e = _resolve(ns, config, "e", default="auto")
-    n = _count(ns, config, "n", 0, 1000, default=0)
-    r_min = _resolve(ns, config, "rmin", cast=float)
-    r_max = _resolve(ns, config, "rmax", cast=float)
-    points = _count(ns, config, "points", 2, 1_000_000, default=101)
-    normalize = bool(_resolve(ns, config, "normalize", default=False))
-    if r_min is None or r_max is None:
+    if ns.rmin is None or ns.rmax is None:
         raise DomainError("--rmin and --rmax are required")
-    if not (0.0 < r_min < r_max):
-        raise DomainError(f"need 0 < rmin < rmax, got rmin={r_min}, rmax={r_max}")
+    if not (0.0 < ns.rmin < ns.rmax):
+        raise DomainError(f"need 0 < rmin < rmax, got rmin={ns.rmin}, rmax={ns.rmax}")
 
-    energy = _level(params, n, "particle").energy if raw_e == "auto" else float(raw_e)
+    energy = _level(params, ns.n, "particle").energy if ns.e == "auto" else float(ns.e)
 
-    norm_constant = normalization(params, energy).norm_constant if normalize else None
+    norm_constant = normalization(params, energy).norm_constant if ns.normalize else None
     scale = 1.0 if norm_constant is None else norm_constant
 
-    step = (r_max - r_min) / (points - 1)
+    step = (ns.rmax - ns.rmin) / (ns.points - 1)
     rows = []
-    for i in range(points):
-        r = r_min + i * step
+    for i in range(ns.points):
+        r = ns.rmin + i * step
         g = eval_ground_state(params, energy, r)
         rows.append({"r": r, "chi": g.chi, "phi": g.phi, "psi": scale * g.psi,
                      "W": g.w, "dW": g.dw})
@@ -341,48 +347,37 @@ def _cmd_wavefunction(ns, config, diag) -> int:
     results = {"energy": energy, "rows": rows}
     if norm_constant is not None:
         results["norm_constant"] = norm_constant
-    _emit(_request(ns, config, "wavefunction", asdict(params), e=raw_e, n=n,
-                   rmin=r_min, rmax=r_max, points=points, normalize=normalize or None),
+    _emit(_request(ns, "wavefunction", asdict(params), e=ns.e, n=ns.n, rmin=ns.rmin,
+                   rmax=ns.rmax, points=ns.points, normalize=ns.normalize or None),
           results, diag, ("r", "chi", "phi", "psi", "W", "dW"), rows)
     return 0
 
 
-def _cmd_verify(ns, config, diag) -> int:
-    suite = _resolve(ns, config, "suite")
-    if suite is None:
+def _cmd_verify(ns, diag) -> int:
+    if ns.suite is None:
         raise DomainError("--suite is required (residuals, manifolds or limits)")
-    seed = _resolve(ns, config, "seed", default=0, cast=_integer)
-    cases = _count(ns, config, "cases", 0, 100_000, default=200)
     try:
-        report = run_suite(suite, seed=seed, cases=cases)
+        report = run_suite(ns.suite, seed=ns.seed, cases=ns.cases)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     # The request echoes the seed and case count only where the suite drew
     # its cases with them, as its report does.
     draws = {key: report[key] for key in ("seed", "cases") if key in report}
-    _emit(_request(ns, config, "verify", None, fmt="json", suite=suite, **draws),
-          report, diag)
+    _emit(_request(ns, "verify", None, suite=ns.suite, **draws), report, diag)
     return 0 if report["passed"] else 1
 
 
-def _cmd_scan(ns, config, diag) -> int:
-    name = _resolve(ns, config, "param")
-    if name not in _PARAM_KEYS:
-        raise DomainError(f"--param must be one of {_PARAM_KEYS}, got {name!r}")
-    start = _resolve(ns, config, "from", cast=float)
-    stop = _resolve(ns, config, "to", cast=float)
-    if start is None or stop is None:
-        raise DomainError("--from, --to and --steps are required")
-    steps = _count(ns, config, "steps", 1, 10_000)
-    n = _count(ns, config, "n", 0, 1000, default=0)
-    base = {key: _resolve(ns, config, key, cast=float) for key in _PARAM_KEYS}
+def _cmd_scan(ns, diag) -> int:
+    name, start, stop, steps, n = ns.param, getattr(ns, "from"), ns.to, ns.steps, ns.n
+    if None in (name, start, stop, steps):
+        raise DomainError("--param, --from, --to and --steps are required")
     values = [start + (stop - start) * i / steps for i in range(steps + 1)]
 
     rows = []
     skipped = failed = 0
     for value in values:
         try:
-            levels = solve_levels(_params_from(ns, config, **{name: value}), n)
+            levels = solve_levels(_params_from(ns, **{name: value}), n)
         except DomainError as exc:
             diag.warn(f"{name}={_fmt(value)} skipped: {exc}")
             skipped += 1
@@ -396,8 +391,8 @@ def _cmd_scan(ns, config, diag) -> int:
                          "branch": lvl.branch, "E": lvl.energy,
                          "residual": lvl.residual})
 
-    params = {key: value for key, value in base.items() if value is not None}
-    _emit(_request(ns, config, "scan", params, param=name, n=n,
+    params = {key: getattr(ns, key) for key in _PARAM_KEYS if getattr(ns, key) is not None}
+    _emit(_request(ns, "scan", params, param=name, n=n,
                    **{"from": start, "to": stop, "steps": steps}),
           {"rows": rows}, diag, ("param", "value", "n", "branch", "E", "residual"), rows)
     if failed:
@@ -408,82 +403,85 @@ def _cmd_scan(ns, config, diag) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are one ERROR: line and exit 2, as every error is."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def _add_param_flags(parser):
     for key in _PARAM_KEYS:
         parser.add_argument(f"--{key}", type=float, default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--output", default=None)
     parser.add_argument("--config", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The ``kgk`` parser; ``parser.subcommands`` maps each name to its own parser."""
+    parser = _Parser(
         prog="kgk",
         description="Relativistic Kratzer bound states: spectra, wavefunctions "
                     "and independent numerical verification.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices
 
     p_spectrum = sub.add_parser("spectrum", help="solve levels n = 0..nmax")
     _add_param_flags(p_spectrum)
-    p_spectrum.add_argument("--nmax", type=int, default=None)
+    p_spectrum.add_argument("--nmax", type=_integer_in(0, 1000), default=None)
     p_spectrum.add_argument("--branch", choices=("all", "particle", "antiparticle"),
-                            default=None)
+                            default="all")
+    p_spectrum.set_defaults(command=_cmd_spectrum)
 
     p_energy = sub.add_parser("energy", help="one level by any method")
     _add_param_flags(p_energy)
-    p_energy.add_argument("--n", type=int, default=None)
-    p_energy.add_argument("--method", default=None)
-    p_energy.add_argument("--branch", choices=("particle", "antiparticle"), default=None)
+    p_energy.add_argument("--n", type=_integer_in(0, 1000), default=None)
+    p_energy.add_argument("--method", default="implicit")
+    p_energy.add_argument("--branch", choices=("particle", "antiparticle"), default="particle")
     p_energy.add_argument("--compare", choices=("oracle",), default=None)
+    p_energy.set_defaults(command=_cmd_energy)
 
     p_wave = sub.add_parser("wavefunction", help="tabulate the ground-state factors")
     _add_param_flags(p_wave)
-    p_wave.add_argument("--e", default=None, help="energy value or 'auto'")
-    p_wave.add_argument("--n", type=int, default=None)
-    p_wave.add_argument("--rmin", type=float, default=None)
-    p_wave.add_argument("--rmax", type=float, default=None)
-    p_wave.add_argument("--points", type=int, default=None)
-    p_wave.add_argument("--normalize", action="store_const", const=True, default=None)
+    p_wave.add_argument("--e", default="auto", help="energy value or 'auto'")
+    p_wave.add_argument("--n", type=_integer_in(0, 1000), default=0)
+    p_wave.add_argument("--rmin", type=_finite, default=None)
+    p_wave.add_argument("--rmax", type=_finite, default=None)
+    p_wave.add_argument("--points", type=_integer_in(2, 1_000_000), default=101)
+    p_wave.add_argument("--normalize", action="store_true")
+    p_wave.set_defaults(command=_cmd_wavefunction)
 
     p_verify = sub.add_parser("verify", help="run a self-verification suite")
-    p_verify.add_argument("--suite", choices=("residuals", "manifolds", "limits"),
-                          default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--cases", type=int, default=None)
+    p_verify.add_argument("--suite", choices=("residuals", "manifolds", "limits"))
+    p_verify.add_argument("--seed", type=_integer, default=0)
+    p_verify.add_argument("--cases", type=_integer_in(0, 100_000), default=200)
     p_verify.add_argument("--output", default=None)
     p_verify.add_argument("--config", default=None)
+    p_verify.set_defaults(command=_cmd_verify, format="json")
 
     p_scan = sub.add_parser("scan", help="sweep one coupling")
     _add_param_flags(p_scan)
-    p_scan.add_argument("--param", default=None)
+    p_scan.add_argument("--param", choices=_PARAM_KEYS, default=None)
     p_scan.add_argument("--from", dest="from", type=float, default=None)
     p_scan.add_argument("--to", type=float, default=None)
-    p_scan.add_argument("--steps", type=int, default=None)
-    p_scan.add_argument("--n", type=int, default=None)
+    p_scan.add_argument("--steps", type=_integer_in(1, 10_000), default=None)
+    p_scan.add_argument("--n", type=_integer_in(0, 1000), default=0)
+    p_scan.set_defaults(command=_cmd_scan)
 
     return parser
 
 
-_COMMANDS = {
-    "spectrum": _cmd_spectrum,
-    "energy": _cmd_energy,
-    "wavefunction": _cmd_wavefunction,
-    "verify": _cmd_verify,
-    "scan": _cmd_scan,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    ns = parser.parse_args(argv)
     diag = _Diagnostics()
-    config = {}
-    config_path = getattr(ns, "config", None)
     try:
-        if config_path:
-            config = _load_config(config_path)
-        return _COMMANDS[ns.subcommand](ns, config, diag)
+        ns = parser.parse_args(argv)
+        if ns.config:
+            _read_config(parser.subcommands[ns.subcommand], ns.config)
+            ns = parser.parse_args(argv)
+        return ns.command(ns, diag)
     except NoBoundStateError as exc:
         diag.error(str(exc))
         return 3

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -513,3 +514,152 @@ def test_spectrum_levels_scale_with_the_mass(capsys, scale, scaled, reference):
     assert len(levels[0]) == len(levels[1]) > 0
     for level, reference_level in zip(*levels):
         assert level == pytest.approx(scale * reference_level, rel=1e-13)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_SPECTRUM = ("spectrum", "--m", "1", "--b1", "0.5", "--b2", "0.5")
+_ENERGY = ("energy", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--n", "0")
+_WAVEFUNCTION = ("wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5",
+                 "--rmin", "0.1", "--rmax", "2", "--points", "3")
+
+
+@pytest.mark.parametrize("args, config, error", [
+    pytest.param(_ENERGY, {"method": 5}, "ERROR: unknown method '5'", id="method-5"),
+    pytest.param((*_SPECTRUM, "--nmax", "0"), {"format": "xml"},
+                 "ERROR: config key 'format'", id="format-xml"),
+    pytest.param((*_SPECTRUM, "--nmax", "0"), {"branch": "bogus"},
+                 "ERROR: config key 'branch'", id="branch-bogus"),
+    pytest.param(_ENERGY, {"compare": "nope"}, "ERROR: config key 'compare'", id="compare-nope"),
+    pytest.param(_WAVEFUNCTION, {"normalize": "no"}, "ERROR: config key 'normalize'",
+                 id="normalize-no"),
+    pytest.param(_SPECTRUM, {"nmax": True}, "ERROR: config key 'nmax'", id="nmax-true"),
+    # A number for a text flag reads as its text: "output": 5 names the file 5.
+    pytest.param((*_SPECTRUM, "--nmax", "0"), {"output": 5}, None, id="output-5"),
+])
+def test_config_value_is_read_as_its_flag_is(tmp_path, args, config, error):
+    # The command runs in tmp_path, where a relative PYTHONPATH finds no package.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    result = run_cli(*args, "--config", "run.json", cwd=tmp_path, env=env)
+    assert result.stdout == ""
+    if error is None:
+        (tmp_path / "flag").mkdir()
+        twin = run_cli(*args, "--output", "5", cwd=tmp_path / "flag", env=env)
+        assert result.returncode == twin.returncode == 0
+        assert (tmp_path / "5").read_bytes() == (tmp_path / "flag" / "5").read_bytes()
+    else:
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith(error)
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param((*_SPECTRUM, "--nmax", "abc"), id="integer-flag-not-a-number"),
+    pytest.param((*_SPECTRUM, "--nmax", "0", "--format", "xml"), id="choice-not-offered"),
+    pytest.param((*_SPECTRUM, "--nmax", "0", "--bogus", "3"), id="unknown-flag"),
+    pytest.param((), id="no-subcommand"),
+])
+def test_argument_error_is_one_error_line_and_exit_2(capsys, args):
+    from kgkratzer import cli
+
+    assert cli.main(list(args)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ERROR: ")
+
+
+@pytest.mark.parametrize("args", [("-h",), ("spectrum", "-h")])
+def test_help_is_printed_with_exit_0(args):
+    result = run_cli(*args)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: kgk")
+    assert result.stderr == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--rmax", "inf"), ("--rmin", "nan"), ("--rmax", "1e400")])
+def test_non_finite_radius_is_refused_by_its_flag(capsys, flag, value):
+    from kgkratzer import cli
+
+    radii = {"--rmin": "0.1", "--rmax": "20", flag: value}
+    code = cli.main(["wavefunction", "--m", "1", "--b1", "0.5", "--b2", "0.5", "--e", "auto",
+                     "--points", "3", *(token for item in radii.items() for token in item)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == f"ERROR: argument {flag}: expected a finite number, got {value!r}\n"
+
+
+def test_integral_nmax_flag_reads_as_an_integer(capsys):
+    from kgkratzer import cli
+
+    assert cli.main([*_SPECTRUM, "--nmax", "1"]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main([*_SPECTRUM, "--nmax", "1.0"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _as_config(flags):
+    """A config object that says what ``flags`` say: JSON values where they parse."""
+    config = {}
+    for token in flags:
+        if token.startswith("--"):
+            key = token[2:]
+            config[key] = True
+            continue
+        try:
+            config[key] = json.loads(token)
+        except ValueError:
+            config[key] = token
+    return config
+
+
+@pytest.mark.parametrize("args", [
+    # The commands of test_cli_output_matches_its_golden_file.
+    "spectrum --m 1 --a1 0 --b1 0.5 --a2 0 --b2 0.5 --nmax 2 --format csv",
+    "energy --m 1 --b1 0.5 --b2 0.5 --n 0 --method closed:equal",
+    "wavefunction --m 1 --b1 0.5 --b2 0.5 --e auto --rmin 0.1 --rmax 20 --points 200 --normalize",
+    "scan --m 1 --b2 0.5 --param b1 --from 0.1 --to 0.9 --steps 16",
+    "verify --suite manifolds",
+    "verify --suite limits",
+    "verify --suite manifolds --seed 5 --cases 3",
+    "verify --suite limits --seed 5 --cases 3",
+    # A number for a text flag, and a seed no float can hold.
+    "wavefunction --m 1 --b1 0.5 --b2 0.5 --e 0.6 --rmin 0.1 --rmax 2 --points 3",
+    "verify --suite residuals --seed 36893488147419103233 --cases 1",
+])
+def test_config_file_gives_the_bytes_its_flags_give(tmp_path, capsys, args):
+    from kgkratzer import cli
+
+    subcommand, *flags = args.split()
+    assert cli.main([subcommand, *flags]) == 0
+    expected = capsys.readouterr().out
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(_as_config(flags)))
+    assert cli.main([subcommand, "--config", str(config)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_config_key_without_a_flag_is_ignored(tmp_path, capsys):
+    from kgkratzer import cli
+
+    args = [*_SPECTRUM, "--nmax", "0"]
+    assert cli.main(args) == 0
+    expected = capsys.readouterr()
+    # Other subcommands' flags (--n would abbreviate --nmax on the command
+    # line), a key no subcommand has, and the help and config flags.
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"n": [1], "points": "x", "suite": 3, "bogus": {"a": 1},
+                                  "help": True, "config": "missing.json"}))
+    assert cli.main([*args, "--config", str(config)]) == 0
+    assert capsys.readouterr() == expected
+
+
+def test_config_nested_too_deeply_exits_2(tmp_path):
+    config = tmp_path / "run.json"
+    config.write_text('{"m": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    result = run_cli(*_SPECTRUM, "--nmax", "0", "--config", str(config))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"ERROR: config file {config} is nested too deeply\n"
