@@ -40,11 +40,9 @@ from .errors import (
     FallToCenterError,
     NoBoundStateError,
 )
-from .model import PotentialParams, admissibility, in_units_of_m
+from .model import PotentialParams, a_imaginary, admissibility, in_units_of_m
 from .oracle import deviation_report
 from .spectrum import (
-    CLOSED_FORM_CASES,
-    SERIES_CASES,
     approx_energy,
     classify_branch,
     closed_form,
@@ -161,7 +159,7 @@ def _params_from(ns, **overrides) -> PotentialParams:
 
 
 def _require_real_a(params: PotentialParams):
-    if abs(params.a1) < abs(params.a2):
+    if a_imaginary(params):
         raise DomainError("a imaginary: a1^2 < a2^2")
 
 
@@ -240,12 +238,9 @@ def _cmd_spectrum(ns, diag) -> int:
 def _parse_method(raw: str):
     if raw == "implicit" or raw == "oracle":
         return raw, None
-    for prefix, cases in (("closed:", CLOSED_FORM_CASES), ("approx:", SERIES_CASES)):
+    for prefix in ("closed:", "approx:"):  # closed_form and approx_energy check the case
         if raw.startswith(prefix):
-            case = raw[len(prefix):]
-            if case not in cases:
-                raise DomainError(f"unknown case {case!r} for {prefix[:-1]} method")
-            return prefix[:-1], case
+            return prefix[:-1], raw[len(prefix):]
     raise DomainError(
         f"unknown method {raw!r}; expected implicit, closed:<case>, "
         "approx:<case> or oracle"
@@ -403,8 +398,25 @@ def _cmd_scan(ns, diag) -> int:
     return 0
 
 
+class _NegativeNumber:
+    """argparse's test for a negative number, widened to every spelling that float()
+    reads: -5e-2 or -inf after a flag is then its value, not an unknown option."""
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return text.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose errors are one ERROR: line and exit 2, as every error is."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber
 
     def error(self, message):
         raise DomainError(message)

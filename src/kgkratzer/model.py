@@ -141,6 +141,18 @@ def centrifugal_index(params: PotentialParams, energy: float) -> tuple[float | N
     return -0.5 + math.sqrt(radicand), radicand
 
 
+def negative_radicand(radicand: float, energy: float) -> DomainError:
+    """The error for a centrifugal index that does not exist at ``energy``."""
+    return DomainError(
+        f"centrifugal radicand 1/4 + 2*(m*a1 + E*a2) = {radicand} negative at E={energy}"
+    )
+
+
+def a_imaginary(params: PotentialParams) -> bool:
+    """a = sqrt(a1^2 - a2^2) is imaginary: |a2| > |a1|, compared without squaring."""
+    return abs(params.a2) > abs(params.a1)
+
+
 def in_units_of_m(params: PotentialParams) -> PotentialParams:
     """The same problem with radii in units of 1/m and energies in units of m."""
     m = params.m
@@ -164,8 +176,8 @@ def derived_coefficients(params: PotentialParams, energy: float, n: int = 0) -> 
         raise DomainError(f"energy must be finite, got {energy!r}")
     n = level_index(n)
 
-    a_sq = params.a1 * params.a1 - params.a2 * params.a2
-    a = math.sqrt(a_sq) if a_sq >= 0.0 else None
+    a_sq = params.a1 * params.a1 - params.a2 * params.a2  # NaN where both squares overflow
+    a = None if a_imaginary(params) or not a_sq >= 0.0 else math.sqrt(a_sq)
 
     c, radicand = centrifugal_index(params, energy)
     k = coulomb_strength(params, energy)

@@ -30,10 +30,12 @@ from .model import (
     AdmissibilityReport,
     PotentialParams,
     admissibility,
+    centrifugal_index,
     coulomb_strength,
     derived_coefficients,
     in_units_of_m,
     level_index,
+    negative_radicand,
 )
 
 __all__ = [
@@ -114,11 +116,9 @@ def _residual_array(params: PotentialParams, n: int, energy: float) -> float:
 def spectrum_residual(params: PotentialParams, n: int, energy: float) -> float:
     """Evaluate f(E); its zeros on (-m, m) are the level-n bound energies."""
     n = level_index(n)
-    radicand = 1.0 + 8.0 * (params.m * params.a1 + energy * params.a2)
-    if radicand < 0.0:
-        raise DomainError(
-            f"spectrum radicand 1 + 8*(m*a1 + E*a2) = {radicand} is negative at E={energy}"
-        )
+    c, radicand = centrifugal_index(params, energy)
+    if c is None:
+        raise negative_radicand(radicand, energy)
     return _residual_array(params, n, float(energy))
 
 
@@ -308,6 +308,12 @@ def _require(condition: bool, case: str, constraint: str) -> None:
         raise StructuralConstraintError(f"case {case!r} requires {constraint}")
 
 
+def _out_of_float_range(case: str, params: PotentialParams, exc: ArithmeticError) -> DomainError:
+    """The DomainError, naming ``case``, for a formula that divided by zero or overflowed."""
+    what = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows a float"
+    return DomainError(f"case {case!r} {what} at {params}")
+
+
 def _window_filter(case: str, raw: list[float], m: float):
     kept, notes = [], []
     for value in raw:
@@ -332,46 +338,58 @@ def closed_form(params: PotentialParams, n: int, case: str) -> ClosedFormResult:
     opposite             a2 = -a1 = 0, b2 = -b1:
         E = -m * (nu^2 - b1^2) / (nu^2 + b1^2)
 
-    with nu = n + 1.  Complex or |E| >= m outputs are dropped with a note.
+    with nu = n + 1.  Complex or |E| >= m outputs are dropped with a note, as
+    is the pure_scalar pair where the centrifugal index does not exist.  A
+    formula that overflows a float raises DomainError.
     """
     if case not in CLOSED_FORM_CASES:
         raise StructuralConstraintError(f"unknown closed-form case {case!r}")
     n = level_index(n)
     m, nu = params.m, float(n + 1)
 
-    if case == "coulomb_general":
-        _require(params.a1 == 0.0 and params.a2 == 0.0, case, "a1 = a2 = 0")
-        disc = 1.0 - (params.b1 ** 2 - params.b2 ** 2) / nu ** 2
-        if disc < 0.0:
-            return ClosedFormResult(case, (), (f"discriminant {disc} < 0: complex pair dropped",))
-        shift = -params.b1 * params.b2 / nu ** 2
-        denom = 1.0 + params.b2 ** 2 / nu ** 2
-        raw = [m * (shift + math.sqrt(disc)) / denom, m * (shift - math.sqrt(disc)) / denom]
-    elif case == "pure_scalar":
-        _require(params.a2 == 0.0 and params.b2 == 0.0, case, "a2 = b2 = 0")
-        denom = 2.0 * n + 1.0 + math.sqrt(1.0 + 8.0 * m * params.a1)
-        inner = 1.0 - 4.0 * params.b1 ** 2 / denom ** 2
-        if inner < 0.0:
-            return ClosedFormResult(case, (), (f"radicand {inner} < 0: complex pair dropped",))
-        raw = [m * math.sqrt(inner), -m * math.sqrt(inner)]
-    elif case == "pure_vector_coulomb":
-        _require(
-            params.a1 == 0.0 and params.b1 == 0.0 and params.a2 == 0.0,
-            case, "a1 = b1 = a2 = 0",
-        )
-        value = m / math.sqrt(1.0 + params.b2 ** 2 / nu ** 2)
-        raw = [value, -value]
-    elif case == "equal":
-        _require(params.a2 == params.a1, case, "a2 = a1")
-        _require(params.b2 == params.b1, case, "b2 = b1")
-        _require(params.a1 == 0.0, case, "a1 = 0 for the closed form")
-        raw = [m * (nu ** 2 - params.b1 ** 2) / (nu ** 2 + params.b1 ** 2)]
-    else:  # opposite
-        _require(params.a2 == -params.a1, case, "a2 = -a1")
-        _require(params.b2 == -params.b1, case, "b2 = -b1")
-        _require(params.a1 == 0.0, case, "a1 = 0 for the closed form")
-        raw = [-m * (nu ** 2 - params.b1 ** 2) / (nu ** 2 + params.b1 ** 2)]
-
+    try:
+        if case == "coulomb_general":
+            _require(params.a1 == 0.0 and params.a2 == 0.0, case, "a1 = a2 = 0")
+            disc = 1.0 - (params.b1 ** 2 - params.b2 ** 2) / nu ** 2
+            if disc < 0.0:
+                note = f"discriminant {disc} < 0: complex pair dropped"
+                return ClosedFormResult(case, (), (note,))
+            shift = -params.b1 * params.b2 / nu ** 2
+            denom = 1.0 + params.b2 ** 2 / nu ** 2
+            raw = [m * (shift + math.sqrt(disc)) / denom, m * (shift - math.sqrt(disc)) / denom]
+        elif case == "pure_scalar":
+            _require(params.a2 == 0.0 and params.b2 == 0.0, case, "a2 = b2 = 0")
+            c, radicand = centrifugal_index(params, 0.0)  # the same at every E, as a2 = 0
+            if c is None:
+                note = f"centrifugal radicand {radicand} < 0: no level"
+                return ClosedFormResult(case, (), (note,))
+            denom = 2.0 * n + 1.0 + math.sqrt(4.0 * radicand)
+            inner = 1.0 - 4.0 * params.b1 ** 2 / denom ** 2
+            if inner < 0.0:
+                note = f"radicand {inner} < 0: complex pair dropped"
+                return ClosedFormResult(case, (), (note,))
+            raw = [m * math.sqrt(inner), -m * math.sqrt(inner)]
+        elif case == "pure_vector_coulomb":
+            _require(
+                params.a1 == 0.0 and params.b1 == 0.0 and params.a2 == 0.0,
+                case, "a1 = b1 = a2 = 0",
+            )
+            value = m / math.sqrt(1.0 + params.b2 ** 2 / nu ** 2)
+            raw = [value, -value]
+        elif case == "equal":
+            _require(params.a2 == params.a1, case, "a2 = a1")
+            _require(params.b2 == params.b1, case, "b2 = b1")
+            _require(params.a1 == 0.0, case, "a1 = 0 for the closed form")
+            raw = [m * (nu ** 2 - params.b1 ** 2) / (nu ** 2 + params.b1 ** 2)]
+        else:  # opposite
+            _require(params.a2 == -params.a1, case, "a2 = -a1")
+            _require(params.b2 == -params.b1, case, "b2 = -b1")
+            _require(params.a1 == 0.0, case, "a1 = 0 for the closed form")
+            raw = [-m * (nu ** 2 - params.b1 ** 2) / (nu ** 2 + params.b1 ** 2)]
+        if not all(map(math.isfinite, raw)):
+            raise OverflowError  # m times a ratio can overflow without raising
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise _out_of_float_range(case, params, exc) from None
     return _window_filter(case, raw, m)
 
 
@@ -386,36 +404,42 @@ def approx_energy(params: PotentialParams, n: int, case: str) -> float:
 
     The opposite_series form is a reported approximation with questionable
     limit behaviour (it diverges as b1 -> 0 instead of approaching -m); it is
-    evaluated exactly as printed.
+    evaluated exactly as printed.  A series that divides by zero or overflows
+    a float, or equal_series where the centrifugal index at E = m does not
+    exist, raises DomainError.
     """
     if case not in SERIES_CASES:
         raise StructuralConstraintError(f"unknown series case {case!r}")
     n = level_index(n)
     m = params.m
 
-    if case == "pure_vector_series":
-        _require(params.a1 == 0.0 and params.b1 == 0.0, case, "a1 = b1 = 0")
-        denom = n + 1.0 + 2.0 * m * params.a2
-        return m * (1.0 - params.b2 ** 2 / (2.0 * denom * denom))
-    if case == "equal_series":
-        _require(params.a2 == params.a1, case, "a2 = a1")
-        _require(params.b2 == params.b1, case, "b2 = b1")
-        denom = 2.0 * n + 1.0 + math.sqrt(1.0 + 16.0 * m * params.a1)
-        return m - 8.0 * m * params.b1 ** 2 / (denom * denom)
-    # opposite_series
-    _require(params.a2 == -params.a1, case, "a2 = -a1")
-    _require(params.b2 == -params.b1, case, "b2 = -b1")
-    if params.b1 == 0.0:
-        raise DomainError("opposite_series is undefined at b1 = 0 (division by zero)")
-    return -m * (2.0 * (n + 1.0) ** 2 / params.b1 ** 2 - 1.0)
+    try:
+        if case == "pure_vector_series":
+            _require(params.a1 == 0.0 and params.b1 == 0.0, case, "a1 = b1 = 0")
+            denom = n + 1.0 + 2.0 * m * params.a2
+            energy = m * (1.0 - params.b2 ** 2 / (2.0 * denom * denom))
+        elif case == "equal_series":
+            _require(params.a2 == params.a1, case, "a2 = a1")
+            _require(params.b2 == params.b1, case, "b2 = b1")
+            c, radicand = centrifugal_index(params, m)  # 1/4 + 4*m*a1, as a2 = a1
+            if c is None:
+                raise negative_radicand(radicand, m)
+            denom = 2.0 * n + 1.0 + math.sqrt(4.0 * radicand)
+            energy = m - 8.0 * m * params.b1 ** 2 / (denom * denom)
+        else:  # opposite_series
+            _require(params.a2 == -params.a1, case, "a2 = -a1")
+            _require(params.b2 == -params.b1, case, "b2 = -b1")
+            energy = -m * (2.0 * (n + 1.0) ** 2 / params.b1 ** 2 - 1.0)
+        if not math.isfinite(energy):
+            raise OverflowError  # m times the series can overflow without raising
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise _out_of_float_range(case, params, exc) from None
+    return energy
 
 
 def nonrel_epsilon(params: PotentialParams, energy: float, n: int) -> float:
     """Nonrelativistic binding energy -k^2 / (4*(n + c + 1)^2) at (E, n)."""
     coeffs = derived_coefficients(params, energy, n)
     if coeffs.epsilon_n is None:
-        raise DomainError(
-            f"centrifugal index undefined: radicand {coeffs.centrifugal_radicand} < 0 "
-            f"at E={energy}"
-        )
+        raise negative_radicand(coeffs.centrifugal_radicand, energy)
     return coeffs.epsilon_n

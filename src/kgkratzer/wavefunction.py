@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, QuadratureError
-from .model import PotentialParams, derived_coefficients, potentials_at
+from .model import PotentialParams, derived_coefficients, negative_radicand, potentials_at
 
 __all__ = [
     "GroundStateEval",
@@ -93,13 +93,18 @@ class ResidualReport:
 def _coefficients_or_raise(params: PotentialParams, energy: float):
     coeffs = derived_coefficients(params, energy)
     if coeffs.a is None:
-        raise DomainError("a undefined: a1^2 < a2^2")
+        raise DomainError("a imaginary: a1^2 < a2^2")
     if coeffs.c is None:
-        raise DomainError(
-            f"centrifugal index undefined at E={energy}: radicand "
-            f"{coeffs.centrifugal_radicand} < 0"
-        )
+        raise negative_radicand(coeffs.centrifugal_radicand, energy)
     return coeffs
+
+
+def _ground_state_akc(params: PotentialParams, energy: float) -> tuple[float, float, float]:
+    """a, c and k, where the ground-state factors are defined: c >= 0 and k > 0."""
+    coeffs = _coefficients_or_raise(params, energy)
+    if coeffs.c < 0.0 or coeffs.k <= 0.0:
+        raise DomainError(f"ground state needs c >= 0 and k > 0, got c={coeffs.c}, k={coeffs.k}")
+    return coeffs.a, coeffs.c, coeffs.k
 
 
 def chi_peak_radius(c: float, k: float) -> float:
@@ -112,22 +117,27 @@ def chi_peak_radius(c: float, k: float) -> float:
 def eval_ground_state(params: PotentialParams, energy: float, r: float) -> GroundStateEval:
     """Evaluate chi, phi, psi and the superpotentials at radius r > 0.
 
-    Requires c >= 0 and k > 0 (normalizable configuration); a = 0 simply
-    gives phi == 1.  The factors are unnormalized.
+    Requires c >= 0 and k > 0, as ``normalization`` does; a = 0 simply
+    gives phi == 1.  The factors are unnormalized.  Where a factor or a
+    superpotential is too large for a float, DomainError names the radius.
     """
     if not r > 0.0:
         raise DomainError(f"radius must be positive, got r={r!r}")
-    coeffs = _coefficients_or_raise(params, energy)
-    a, c, k = coeffs.a, coeffs.c, coeffs.k
-    if c < 0.0:
-        raise DomainError(f"ground-state factor needs c >= 0, got c={c}")
-    if k <= 0.0:
-        raise DomainError(f"ground-state factor needs k > 0, got k={k}")
+    a, c, k = _ground_state_akc(params, energy)
 
-    chi = r ** (c + 1.0) * math.exp(-k * r / (2.0 * (c + 1.0)))
+    decay = math.exp(-k * r / (2.0 * (c + 1.0)))
     phi = math.exp(-a / r)
     w = -(c + 1.0) / r + k / (2.0 * (c + 1.0))
-    dw = -a / (r * r)
+    r2 = r * r
+    # Below the normal range r^2 keeps too few bits to divide by.
+    dw = -a / r2 if r2 >= sys.float_info.min else -(a / r) / r
+    try:
+        # Where the exponential underflows chi is 0, however large r^(c+1) is.
+        chi = r ** (c + 1.0) * decay if decay > 0.0 else 0.0
+    except OverflowError:
+        chi = math.inf
+    if not all(map(math.isfinite, (chi, w, dw, w + dw))):
+        raise DomainError(f"the ground state at r={r!r} leaves the float range")
     return GroundStateEval(r=r, chi=chi, phi=phi, psi=chi * phi, w=w, dw=dw, w_susy=w + dw)
 
 
@@ -262,13 +272,7 @@ def normalization(params: PotentialParams, energy: float) -> NormalizationResult
     exp(g(t*)) is applied once at the end.  An integral outside the float
     range raises ``QuadratureError``.
     """
-    coeffs = _coefficients_or_raise(params, energy)
-    a, c, k = coeffs.a, coeffs.c, coeffs.k
-    if c < 0.0 or k <= 0.0 or a < 0.0:
-        raise DomainError(
-            f"psi^2 is not integrable: need c >= 0, k > 0, a >= 0 "
-            f"(got c={c}, k={k}, a={a})"
-        )
+    a, c, k = _ground_state_akc(params, energy)
 
     nu, beta, gamma = 2.0 * c + 3.0, 2.0 * a, k / (c + 1.0)
     evaluations = 0

@@ -663,3 +663,75 @@ def test_config_nested_too_deeply_exits_2(tmp_path):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == f"ERROR: config file {config} is nested too deeply\n"
+
+
+@pytest.mark.parametrize("args, flag", [
+    ("energy --m 1 --b1 0.5 --a2 -5e-2 --b2 0.3 --n 0", "--a2"),
+    ("energy --m 1 --a1 0.1 --b1 0.5 --a2 -5e-2 --b2 0.3 --n 0", "--a2"),
+    ("energy --m 1 --a1 1e3 --b1 0.5 --a2 -1E+3 --b2 0.3 --n 0", "--a2"),
+    ("spectrum --m 1 --a1 -.5e-1 --b1 0.5 --b2 0.3 --nmax 0", "--a1"),
+    ("scan --m 1 --b2 0.5 --param b1 --from -1e-3 --to 0.9 --steps 4", "--from"),
+])
+def test_negative_number_after_a_flag_is_its_value(capsys, args, flag):
+    from kgkratzer import cli
+
+    tokens = args.split()
+    at = tokens.index(flag)
+    joined = [*tokens[:at], f"{flag}={tokens[at + 1]}", *tokens[at + 2:]]
+    outcomes = []
+    for argv in (tokens, joined):
+        code = cli.main(argv)
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert "expected one argument" not in outcomes[0][2]
+
+
+def test_negative_infinity_after_a_flag_is_refused_as_not_finite(capsys):
+    from kgkratzer import cli
+
+    assert cli.main("energy --m 1 --b1 0.5 --a2 -inf --b2 0.3 --n 0".split()) == 2
+    assert capsys.readouterr().err == "ERROR: a2 must be finite, got -inf\n"
+
+
+@pytest.mark.parametrize("args, code, error", [
+    # A closed form with a negative centrifugal radicand has no level; a series has no value.
+    pytest.param("energy --m 1 --a1 -1 --b1 0.5 --n 0 --method closed:pure_scalar", 3,
+                 "ERROR: closed form 'pure_scalar' yields no particle level at n=0",
+                 id="pure-scalar-negative-radicand"),
+    pytest.param("energy --m 1 --a1 -1 --a2 -1 --b1 0.5 --b2 0.5 --n 0 "
+                 "--method approx:equal_series", 2,
+                 "ERROR: centrifugal radicand 1/4 + 2*(m*a1 + E*a2) = -3.75 negative at E=1.0",
+                 id="equal-series-negative-radicand"),
+    # Overflow and division by zero name the case.
+    pytest.param("energy --m 1 --b1 1e200 --n 0 --method closed:coulomb_general", 2,
+                 "ERROR: case 'coulomb_general' overflows a float at ", id="closed-overflow"),
+    pytest.param("energy --m 1 --b2 1e200 --n 0 --method approx:pure_vector_series", 2,
+                 "ERROR: case 'pure_vector_series' overflows a float at ", id="series-overflow"),
+    pytest.param("energy --m 1 --a2 -0.5 --b2 0.3 --n 0 --method approx:pure_vector_series", 2,
+                 "ERROR: case 'pure_vector_series' divides by zero at ", id="series-zero-division"),
+    pytest.param("energy --m 1 --b1 0.5 --n 0 --method closed:bogus", 2,
+                 "ERROR: unknown closed-form case 'bogus'", id="unknown-case"),
+    # The ground state where r*r underflows, and where r^(c+1) overflows but chi does not.
+    pytest.param("wavefunction --m 1 --b1 0.5 --b2 0.5 --e auto --rmin 1e-200 --rmax 1 "
+                 "--points 2", 0, None, id="ground-state-tiny-radius"),
+    pytest.param("wavefunction --m 1 --a1 0.5 --a2 0.5 --b1 0.5 --b2 0.5 --e auto --rmin 1 "
+                 "--rmax 1e300 --points 2", 0, None, id="ground-state-huge-radius"),
+    pytest.param("wavefunction --m 1 --a1 0.5 --a2 0.3 --b1 0.5 --b2 0.5 --e auto "
+                 "--rmin 1e-170 --rmax 1 --points 2", 2,
+                 "ERROR: the ground state at r=1e-170 leaves the float range",
+                 id="ground-state-out-of-range"),
+    # The n = 0 level lies in the boundary window c < 0, which the ground state refuses.
+    pytest.param("wavefunction --m 1 --a1 -0.05 --b1 0.5 --b2 0.3 --e auto --rmin 0.1 "
+                 "--rmax 1 --points 2 --normalize", 2,
+                 "ERROR: ground state needs c >= 0 and k > 0, got c=-0.11",
+                 id="ground-state-boundary-window"),
+])
+def test_analytic_command_ends_in_one_error_line_or_succeeds(capsys, args, code, error):
+    from kgkratzer import cli
+
+    assert cli.main(args.split()) == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("ERROR:")]
+    if error is None:
+        assert errors == []
+    else:
+        assert len(errors) == 1 and errors[0].startswith(error)

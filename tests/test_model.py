@@ -286,3 +286,15 @@ def test_admissible_verdict_means_the_oracle_can_start_at_the_origin():
 def test_admissibility_is_deterministic():
     params = PotentialParams(m=1.0, a1=5.0, b1=0.5, a2=3.0, b2=0.25)
     assert admissibility(params, 0.8) == admissibility(params, 0.8)
+
+
+@pytest.mark.parametrize("a1, a2, a_real", [(1e-200, 2e-200, False), (2e-200, 1e-200, True)])
+def test_imaginary_a_is_decided_where_the_squares_underflow(a1, a2, a_real):
+    # a1^2 and a2^2 both underflow to 0; |a2| > |a1| still makes a imaginary, as the CLI says.
+    params = PotentialParams(m=1.0, a1=a1, b1=0.5, a2=a2, b2=0.3)
+    report = admissibility(params, 0.5)
+    assert report.a_real is a_real
+    assert (derived_coefficients(params, 0.5).a is None) is not a_real
+    if not a_real:
+        assert report.overall == "inadmissible"
+        assert report.reasons == ("a imaginary: a1^2 < a2^2",)

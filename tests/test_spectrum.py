@@ -10,6 +10,7 @@ from kgkratzer import (
     DomainError,
     PotentialParams,
     StructuralConstraintError,
+    admissibility,
     approx_energy,
     closed_form,
     nonrel_epsilon,
@@ -544,3 +545,48 @@ def test_coulomb_plane_levels_match_a_50_digit_reference():
         for got, want in zip(energies, reference):
             worst = max(worst, float(abs(decimal.Decimal(got) - want)) / params.m)
     assert worst <= 1e-15
+
+
+def test_residual_domain_error_names_the_radicand_admissibility_names():
+    params = PotentialParams(m=1.0, a2=1.0)
+    with pytest.raises(DomainError) as info:
+        spectrum_residual(params, 0, -0.5)
+    assert str(info.value) == (
+        "centrifugal radicand 1/4 + 2*(m*a1 + E*a2) = -0.75 negative at E=-0.5"
+    )
+    assert "centrifugal radicand 1/4 + 2*(m*a1 + E*a2) negative" in (
+        admissibility(params, -0.5).reasons
+    )
+
+
+def test_pure_scalar_without_a_centrifugal_index_has_no_level():
+    result = closed_form(PotentialParams(m=1.0, a1=-1.0, b1=0.5), 0, "pure_scalar")
+    assert result.energies == ()
+    assert result.notes == ("centrifugal radicand -1.75 < 0: no level",)
+
+
+def test_equal_series_without_a_centrifugal_index_raises():
+    params = PotentialParams(m=1.0, a1=-1.0, b1=0.5, a2=-1.0, b2=0.5)
+    with pytest.raises(DomainError, match="centrifugal radicand .* = -3.75 negative at E=1.0"):
+        approx_energy(params, 0, "equal_series")
+
+
+@pytest.mark.parametrize("params, case, error", [
+    (PotentialParams(m=1.0, b1=1e200), "coulomb_general", "overflows a float"),
+    # m times a ratio overflows without raising.
+    (PotentialParams(m=1e300, b1=1e150, b2=-1e150), "coulomb_general", "overflows a float"),
+    (PotentialParams(m=1.0, b1=1e200), "pure_scalar", "overflows a float"),
+    (PotentialParams(m=1.0, b2=1e200), "pure_vector_coulomb", "overflows a float"),
+    (PotentialParams(m=1.0, b1=1e200, b2=1e200), "equal", "overflows a float"),
+    (PotentialParams(m=1.0, b1=1e200, b2=-1e200), "opposite", "overflows a float"),
+    (PotentialParams(m=1.0, b2=1e200), "pure_vector_series", "overflows a float"),
+    (PotentialParams(m=1.0, a2=-0.5, b2=0.3), "pure_vector_series", "divides by zero"),
+    (PotentialParams(m=1.0, b1=1e200, b2=1e200), "equal_series", "overflows a float"),
+    # b1^2 underflows to 0, or to a subnormal that 2/b1^2 overflows.
+    (PotentialParams(m=1.0, b1=1e-200, b2=-1e-200), "opposite_series", "divides by zero"),
+    (PotentialParams(m=1.0, b1=1e-160, b2=-1e-160), "opposite_series", "overflows a float"),
+])
+def test_closed_form_or_series_out_of_float_range_names_the_case(params, case, error):
+    evaluate = closed_form if case in spectrum.CLOSED_FORM_CASES else approx_energy
+    with pytest.raises(DomainError, match=f"^case '{case}' {error} at PotentialParams"):
+        evaluate(params, 0, case)

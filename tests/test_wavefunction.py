@@ -223,3 +223,31 @@ def test_normalization_matches_the_gamma_form_on_drawn_sets():
         assert result.error_estimate >= gap
 
     check()
+
+
+@pytest.mark.parametrize("params, energy", [
+    (PotentialParams(m=1.0, a1=-0.05, b1=0.5, b2=0.3), 0.5),  # c in the window (-1/2, 0)
+    (PotentialParams(m=1.0, b1=-1.0), 0.0),                    # k < 0
+])
+def test_ground_state_and_normalization_share_one_check(params, energy):
+    messages = set()
+    for call in (lambda: eval_ground_state(params, energy, 1.0),
+                 lambda: normalization(params, energy)):
+        with pytest.raises(DomainError) as info:
+            call()
+        messages.add(str(info.value))
+    (message,) = messages
+    assert message.startswith("ground state needs c >= 0 and k > 0, got c=")
+
+
+def test_ground_state_where_a_square_or_a_power_leaves_the_float_range():
+    # r*r underflows: dW is 0 at a = 0, and -(a/r)/r at a > 0.
+    assert eval_ground_state(EQUAL, 0.6, 1e-200).dw == 0.0
+    tiny_a = PotentialParams(m=1.0, a1=1e-150, b1=0.5, b2=0.5)
+    assert eval_ground_state(tiny_a, 0.6, 1e-160).dw == pytest.approx(-1e170, rel=1e-15)
+    # r^(c+1) overflows where the exponential has underflowed: chi is 0.
+    far = eval_ground_state(PotentialParams(m=1.0, a1=0.5, b1=0.5, a2=0.5, b2=0.5), 0.5, 1e300)
+    assert far.chi == far.psi == 0.0
+    # dW = -a/r^2 is too large for a float.
+    with pytest.raises(DomainError, match="^the ground state at r=1e-170 leaves the float range"):
+        eval_ground_state(PotentialParams(m=1.0, a1=0.5, b1=0.5, a2=0.3, b2=0.5), 0.5, 1e-170)
