@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib
 import io
 import json
 import math
@@ -41,7 +42,6 @@ from .errors import (
     NoBoundStateError,
 )
 from .model import PotentialParams, a_imaginary, admissibility, in_units_of_m
-from .oracle import deviation_report
 from .spectrum import (
     approx_energy,
     classify_branch,
@@ -51,10 +51,29 @@ from .spectrum import (
     solve_spectrum,
     spectrum_residual,
 )
-from .verify import run_suite
-from .wavefunction import eval_ground_state, normalization
 
 _PARAM_KEYS = ("m", "a1", "b1", "a2", "b2")
+
+# What only some commands run is imported when one of them first needs it
+# (PEP 562), so that spectrum, scan and energy by a closed form never load the
+# oracle, the verify suites or the wavefunction.  The commands call these
+# through ``_lazy``, which reads the module attribute: a function set there
+# in place of one of them is the one that runs.
+_LAZY = {"deviation_report": "oracle", "run_suite": "verify",
+         "normalization": "wavefunction", "eval_ground_state": "wavefunction"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _lazy(name):
+    """The module attribute ``name``, which ``__getattr__`` imports on first use."""
+    return getattr(sys.modules[__name__], name)
 
 
 def _fmt(value):
@@ -287,7 +306,7 @@ def _cmd_energy(ns, diag) -> int:
         record.update({"branch": classify_branch(params, energy), "E": energy,
                        "method": "series_approx", "case": case})
     else:  # oracle
-        report = deviation_report(params, n, branch=branch)
+        report = _lazy("deviation_report")(params, n, branch=branch)
         energy = report.oracle_energy
         record.update({"branch": branch, "E": energy, "method": "oracle",
                        "node_count": report.shooting.node_count,
@@ -300,7 +319,7 @@ def _cmd_energy(ns, diag) -> int:
 
     if compare == "oracle" and method != "oracle":
         try:
-            report = deviation_report(params, n, branch=branch)
+            report = _lazy("deviation_report")(params, n, branch=branch)
         except (FallToCenterError, NoBoundStateError) as exc:
             # The oracle cannot integrate a supercritical origin, or finds no
             # level with n nodes; the analytic result stands on its own, with
@@ -328,9 +347,10 @@ def _cmd_wavefunction(ns, diag) -> int:
 
     energy = _level(params, ns.n, "particle").energy if ns.e == "auto" else float(ns.e)
 
-    norm_constant = normalization(params, energy).norm_constant if ns.normalize else None
+    norm_constant = _lazy("normalization")(params, energy).norm_constant if ns.normalize else None
     scale = 1.0 if norm_constant is None else norm_constant
 
+    eval_ground_state = _lazy("eval_ground_state")
     step = (ns.rmax - ns.rmin) / (ns.points - 1)
     rows = []
     for i in range(ns.points):
@@ -352,7 +372,7 @@ def _cmd_verify(ns, diag) -> int:
     if ns.suite is None:
         raise DomainError("--suite is required (residuals, manifolds or limits)")
     try:
-        report = run_suite(ns.suite, seed=ns.seed, cases=ns.cases)
+        report = _lazy("run_suite")(ns.suite, seed=ns.seed, cases=ns.cases)
     except ValueError as exc:
         raise DomainError(str(exc)) from exc
     # The request echoes the seed and case count only where the suite drew

@@ -176,8 +176,14 @@ def derived_coefficients(params: PotentialParams, energy: float, n: int = 0) -> 
         raise DomainError(f"energy must be finite, got {energy!r}")
     n = level_index(n)
 
-    a_sq = params.a1 * params.a1 - params.a2 * params.a2  # NaN where both squares overflow
-    a = None if a_imaginary(params) or not a_sq >= 0.0 else math.sqrt(a_sq)
+    a = None
+    if not a_imaginary(params):
+        a_sq = params.a1 * params.a1 - params.a2 * params.a2
+        if math.isfinite(a_sq):
+            a = math.sqrt(a_sq)
+        else:  # a1^2 overflows: factor it out, |a2/a1| <= 1
+            ratio = params.a2 / params.a1
+            a = abs(params.a1) * math.sqrt((1.0 - ratio) * (1.0 + ratio))
 
     c, radicand = centrifugal_index(params, energy)
     k = coulomb_strength(params, energy)

@@ -236,6 +236,16 @@ def residual_report(params: PotentialParams, energy: float, sample_radii) -> Res
     )
 
 
+def _times_exp(coefficient: float, t: float) -> float:
+    """coefficient * e^t for coefficient >= 0, inf beyond the float range."""
+    if coefficient == 0.0:
+        return 0.0
+    try:
+        return math.exp(t + math.log(coefficient))
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class NormalizationResult:
     """Normalization integral of psi^2 with its refinement error estimate.
@@ -270,7 +280,9 @@ def normalization(params: PotentialParams, energy: float) -> NormalizationResult
     sums agree to 1e-10; ``error_estimate`` is their difference
     plus a bound on the rounding of g.  The sums carry exp(g - g(t*)), and
     exp(g(t*)) is applied once at the end.  An integral outside the float
-    range raises ``QuadratureError``.
+    range raises ``QuadratureError``, and so does a peak that no grid in t
+    resolves: one at no finite radius, or one where the rounding of g
+    reaches 1.
     """
     a, c, k = _ground_state_akc(params, energy)
 
@@ -280,11 +292,28 @@ def normalization(params: PotentialParams, energy: float) -> NormalizationResult
     def g(t):
         nonlocal evaluations
         evaluations += 1
-        return nu * t - beta * math.exp(-t) - gamma * math.exp(t)
+        try:
+            return nu * t - beta * math.exp(-t) - gamma * math.exp(t)
+        except OverflowError:  # e^t or e^-t leaves the float range, its product need not
+            return nu * t - _times_exp(beta, -t) - _times_exp(gamma, t)
 
+    if not gamma > 0.0:  # k/(c+1) underflows, or c is inf
+        raise QuadratureError(
+            f"psi^2 has no peak at a finite radius: k/(c+1) = {gamma} (2c+3 = {nu})"
+        )
     # Peak of g: x* = e^(t*) is the positive root of gamma*x^2 - nu*x - beta = 0.
     x_peak = (nu + math.sqrt(nu * nu + 4.0 * beta * gamma)) / (2.0 * gamma)
     t_peak = math.log(x_peak)
+    # Converged sums differ by rounding alone, so the estimate also carries
+    # the rounding of g, whose terms at the peak add up to the sum below.
+    # Where it reaches 1, exp(g) keeps no correct digit; below 1, even the
+    # finest step, h/2^10 with h = 0.5/sqrt(beta/x* + gamma*x*), still moves t.
+    rounding = 4.0 * _EPS * (abs(nu * t_peak) + beta / x_peak + gamma * x_peak)
+    if not rounding < 1.0:
+        raise QuadratureError(
+            f"psi^2 cannot be integrated in floating point: the rounding of its log "
+            f"at the peak r = {x_peak} is {rounding} (2c+3 = {nu})"
+        )
     g_peak = g(t_peak)
 
     def tail(offset, step):
@@ -328,9 +357,6 @@ def normalization(params: PotentialParams, energy: float) -> NormalizationResult
         except OverflowError:  # a factor leaves the float range, the product need not
             closed = math.exp(math.lgamma(nu) + nu * math.log((c + 1.0) / k))
 
-    # Converged sums differ by rounding alone, so the estimate also carries
-    # the rounding of g, whose terms at the peak add up to the sum below.
-    rounding = 4.0 * _EPS * (abs(nu * t_peak) + beta / x_peak + gamma * x_peak)
     # Peak of psi^2 in r: positive root of (gamma/2)*r^2 - (c+1)*r - a = 0.
     half = c + 1.0
     return NormalizationResult(

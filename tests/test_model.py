@@ -288,13 +288,22 @@ def test_admissibility_is_deterministic():
     assert admissibility(params, 0.8) == admissibility(params, 0.8)
 
 
-@pytest.mark.parametrize("a1, a2, a_real", [(1e-200, 2e-200, False), (2e-200, 1e-200, True)])
+@pytest.mark.parametrize("a1, a2, a_real", [
+    (1e-200, 2e-200, False), (2e-200, 1e-200, True),
+    # The overflow twins: a1^2 and a2^2 both overflow.
+    (1e200, 2e200, False), (2e200, 1e200, True), (1e200, 5e199, True), (-1e200, 1e200, True),
+])
 def test_imaginary_a_is_decided_where_the_squares_underflow(a1, a2, a_real):
-    # a1^2 and a2^2 both underflow to 0; |a2| > |a1| still makes a imaginary, as the CLI says.
+    # a1^2 and a2^2 both underflow to 0, or both overflow; |a2| > |a1| still makes a
+    # imaginary, as the CLI says, and a is real and finite otherwise.
     params = PotentialParams(m=1.0, a1=a1, b1=0.5, a2=a2, b2=0.3)
     report = admissibility(params, 0.5)
     assert report.a_real is a_real
-    assert (derived_coefficients(params, 0.5).a is None) is not a_real
+    a = derived_coefficients(params, 0.5).a
+    assert (a is None) is not a_real
+    if a_real and abs(a1) > 1.0:  # finite where the squares overflow: 8.66e199 at (1e200, 5e199)
+        assert a == pytest.approx(1e200 * math.sqrt((a1 / 1e200) ** 2 - (a2 / 1e200) ** 2),
+                                  rel=1e-15, abs=0.0)
     if not a_real:
         assert report.overall == "inadmissible"
         assert report.reasons == ("a imaginary: a1^2 < a2^2",)

@@ -5,6 +5,8 @@ The draws span the float range: m = 10^U(-300, 300), and each coupling is 0,
 so that every closed-form and series family is reached, as the test checks.
 """
 
+import signal
+
 import pytest
 
 from kgkratzer import (
@@ -16,6 +18,7 @@ from kgkratzer import (
     closed_form,
     derived_coefficients,
     eval_ground_state,
+    normalization,
     solve_levels,
     spectrum,
     spectrum_residual,
@@ -55,6 +58,11 @@ def _calls(params, n, energy, r):
     for case in spectrum.SERIES_CASES:
         yield case, lambda case=case: approx_energy(params, n, case)
     yield "eval_ground_state", lambda: eval_ground_state(params, energy, r)
+    yield "normalization", lambda: normalization(params, energy)
+
+
+def _expire(signum, frame):
+    raise TimeoutError("an entry point still running after 5 s")
 
 
 def test_every_entry_point_returns_or_raises_a_package_error():
@@ -65,14 +73,22 @@ def test_every_entry_point_returns_or_raises_a_package_error():
     @hypothesis.given(params=_params(), n=st.integers(0, 3), fraction=st.floats(-1.0, 1.0),
                       r=_MAGNITUDE)
     def check(params, n, fraction, r):
-        for name, call in _calls(params, n, params.m * fraction, r):
-            try:
-                call()
-            except StructuralConstraintError:
-                continue
-            except KratzerError:
-                pass
-            reached.add(name)
+        signal.alarm(5)  # a call that never returns fails the example
+        try:
+            for name, call in _calls(params, n, params.m * fraction, r):
+                try:
+                    call()
+                except StructuralConstraintError:
+                    continue
+                except KratzerError:
+                    pass
+                reached.add(name)
+        finally:
+            signal.alarm(0)
 
-    check()
+    previous = signal.signal(signal.SIGALRM, _expire)
+    try:
+        check()
+    finally:
+        signal.signal(signal.SIGALRM, previous)
     assert reached == {name for name, _ in _calls(PotentialParams(1.0), 0, 0.0, 1.0)}

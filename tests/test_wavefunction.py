@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -251,3 +252,33 @@ def test_ground_state_where_a_square_or_a_power_leaves_the_float_range():
     # dW = -a/r^2 is too large for a float.
     with pytest.raises(DomainError, match="^the ground state at r=1e-170 leaves the float range"):
         eval_ground_state(PotentialParams(m=1.0, a1=0.5, b1=0.5, a2=0.3, b2=0.5), 0.5, 1e-170)
+
+
+def _expire(signum, frame):
+    raise TimeoutError("normalization still running after 2 s")
+
+
+@pytest.mark.parametrize("params, energy, message", [
+    # c ~ 5e58: the step, ~5e-30, is below the resolution of t ~ -393 at the peak.
+    (PotentialParams(m=5.7286154577932095e116, a1=1.4695472271092083, b1=4.107218242659831e171,
+                     a2=1.4695472271092083, b2=4.107218242659831e171), 1.8791971984667495e116,
+     "cannot be integrated in floating point"),
+    # The right tail passes t = 709.8, where e^t alone overflows; the integral itself
+    # is e^2120, past the float range.
+    (PotentialParams(m=2.386065664132919e-56, a1=0.6197972772839848, b1=4.1727223542002725e-252,
+                     a2=0.6197972772839848, b2=4.1727223542002725e-252), -8.557100626313638e-57,
+     "integral overflows the float range"),
+    # c = inf, so k/(c+1) = 0 and psi^2 has no peak at a finite radius.
+    (PotentialParams(m=1.2813299509821492e201, a1=3.2168973492905944e179, b1=1.6630168283794498,
+                     a2=0.0, b2=-0.5277910593344419), 9.654152141389643e198,
+     "no peak at a finite radius"),
+], ids=["step-below-resolution", "exp-overflow", "no-finite-peak"])
+def test_normalization_at_extreme_couplings_raises_a_quadrature_error(params, energy, message):
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(2)
+    try:
+        with pytest.raises(QuadratureError, match=message):
+            normalization(params, energy)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
