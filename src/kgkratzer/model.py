@@ -82,14 +82,6 @@ class DerivedCoefficients:
     energy: float
     centrifugal_radicand: float
 
-    @property
-    def a_defined(self) -> bool:
-        return self.a is not None
-
-    @property
-    def c_defined(self) -> bool:
-        return self.c is not None
-
 
 _VERDICTS = ("admissible", "boundary", "inadmissible")
 
@@ -153,6 +145,27 @@ def a_imaginary(params: PotentialParams) -> bool:
     return abs(params.a2) > abs(params.a1)
 
 
+_A_IMAGINARY = "a imaginary: a1^2 < a2^2"
+
+
+def refuse_imaginary_a(params: PotentialParams) -> None:
+    """Raise DomainError where ``a_imaginary`` holds."""
+    if a_imaginary(params):
+        raise DomainError(_A_IMAGINARY)
+
+
+def refuse_nonpositive_radius(r: float) -> None:
+    """Raise DomainError unless r > 0, where the radial problem is posed."""
+    if not r > 0.0:
+        raise DomainError(f"radius must be positive, got r={r!r}")
+
+
+def out_of_float_range(subject: str, params: PotentialParams, exc: ArithmeticError) -> DomainError:
+    """The DomainError, naming ``subject``, for a formula that divided by zero or overflowed."""
+    what = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows a float"
+    return DomainError(f"{subject} {what} at {params}")
+
+
 def in_units_of_m(params: PotentialParams) -> PotentialParams:
     """The same problem with radii in units of 1/m and energies in units of m."""
     m = params.m
@@ -191,6 +204,8 @@ def derived_coefficients(params: PotentialParams, energy: float, n: int = 0) -> 
     c_diag = None
     if a is not None and a > 0.0:
         c_diag = (params.a1 * params.b1 - params.a2 * params.b2) / a
+        if not math.isfinite(c_diag):  # a product overflows: divide each by a first
+            c_diag = params.a1 * (params.b1 / a) - params.a2 * (params.b2 / a)
 
     eps = None
     if c is not None:
@@ -209,8 +224,7 @@ def potentials_at(params: PotentialParams, energy: float, r: float):
     V_eff = 2*m*V_S + 2*E*V_V + V_S^2 - V_V^2 is the full coupling term of
     the squared relativistic wave equation.
     """
-    if not r > 0.0:
-        raise DomainError(f"radius must be positive, got r={r!r}")
+    refuse_nonpositive_radius(r)
     inv = 1.0 / r
     v_s = (params.a1 * inv - params.b1) * inv
     v_v = (params.a2 * inv - params.b2) * inv
@@ -268,7 +282,7 @@ def admissibility(params: PotentialParams, energy: float) -> AdmissibilityReport
 
     a_real = coeffs.a is not None
     if not a_real:
-        reasons.append("a imaginary: a1^2 < a2^2")
+        reasons.append(_A_IMAGINARY)
 
     sqrt_domain_ok = coeffs.c is not None
     if not sqrt_domain_ok:

@@ -49,7 +49,7 @@ from ._radial import STATUS_OK, sweep
 from ._search import _derivative, _horner, _real_roots, bracketed_search
 from .errors import ConvergenceError, DomainError, FallToCenterError, NoBoundStateError
 from .model import PotentialParams, in_units_of_m, level_index, origin_power, u_series
-from .spectrum import EnergyLevel, select_level, solve_levels
+from .spectrum import EnergyLevel, no_level, select_level, solve_levels
 
 __all__ = [
     "ShootingResult",
@@ -567,7 +567,7 @@ def deviation_report(
     except (DomainError, ConvergenceError) as exc:
         raise type(exc)(f"analytic: {exc}") from exc
     if level is None:
-        raise NoBoundStateError(f"analytic: no {branch} level exists at n={n}")
+        raise NoBoundStateError(f"analytic: {no_level(branch, n)}")
     e_analytic = level.energy
 
     # Half-widths 0.4*(m - |E|)*2^i, at most six and none wider than 2m.

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._search import _derivative, _horner, _monotone_root, _real_roots, bracketed_search
-from .errors import ConvergenceError, DomainError, StructuralConstraintError
+from .errors import ConvergenceError, DomainError, NoBoundStateError, StructuralConstraintError
 from .model import (
     AdmissibilityReport,
     PotentialParams,
@@ -36,6 +36,7 @@ from .model import (
     in_units_of_m,
     level_index,
     negative_radicand,
+    out_of_float_range,
 )
 
 __all__ = [
@@ -244,6 +245,11 @@ def select_level(levels, branch: str) -> EnergyLevel | None:
     return pick(matching, key=lambda lvl: lvl.energy)
 
 
+def no_level(branch: str, n: int) -> NoBoundStateError:
+    """The error for a level n of ``branch`` that ``select_level`` does not find."""
+    return NoBoundStateError(f"no {branch} root of the spectrum equation at n={n}")
+
+
 def solve_levels(params: PotentialParams, n: int) -> list[EnergyLevel]:
     """All interior zeros of f(E) for one level, classified and flagged.
 
@@ -296,22 +302,10 @@ class ClosedFormResult:
     energies: tuple[float, ...]
     notes: tuple[str, ...] = field(default=())
 
-    def __iter__(self):
-        return iter(self.energies)
-
-    def __len__(self):
-        return len(self.energies)
-
 
 def _require(condition: bool, case: str, constraint: str) -> None:
     if not condition:
         raise StructuralConstraintError(f"case {case!r} requires {constraint}")
-
-
-def _out_of_float_range(case: str, params: PotentialParams, exc: ArithmeticError) -> DomainError:
-    """The DomainError, naming ``case``, for a formula that divided by zero or overflowed."""
-    what = "divides by zero" if isinstance(exc, ZeroDivisionError) else "overflows a float"
-    return DomainError(f"case {case!r} {what} at {params}")
 
 
 def _window_filter(case: str, raw: list[float], m: float):
@@ -389,7 +383,7 @@ def closed_form(params: PotentialParams, n: int, case: str) -> ClosedFormResult:
         if not all(map(math.isfinite, raw)):
             raise OverflowError  # m times a ratio can overflow without raising
     except (ZeroDivisionError, OverflowError) as exc:
-        raise _out_of_float_range(case, params, exc) from None
+        raise out_of_float_range(f"case {case!r}", params, exc) from None
     return _window_filter(case, raw, m)
 
 
@@ -433,7 +427,7 @@ def approx_energy(params: PotentialParams, n: int, case: str) -> float:
         if not math.isfinite(energy):
             raise OverflowError  # m times the series can overflow without raising
     except (ZeroDivisionError, OverflowError) as exc:
-        raise _out_of_float_range(case, params, exc) from None
+        raise out_of_float_range(f"case {case!r}", params, exc) from None
     return energy
 
 

@@ -142,11 +142,11 @@ def _closed_form_backsub_worst() -> tuple[float, list[dict]]:
                   ("opposite", PotentialParams(m=1.0, b1=b1, b2=-b1))]
     worst = max(abs(spectrum_residual(params, n, e))
                 for n in range(4) for case, params in cases
-                for e in closed_form(params, n, case))
+                for e in closed_form(params, n, case).energies)
     atlas = []
     for label, b2_sign in (("equal", 1.0), ("opposite", -1.0)):
         params = PotentialParams(m=1.0, b1=0.5, b2=b2_sign * 0.5)
-        energy = next(iter(closed_form(params, 0, label)))
+        energy = closed_form(params, 0, label).energies[0]
         rep = residual_report(params, energy, (0.5, 1.0, 2.0))
         atlas.append({"case": label, "m3": rep.m3, "m2": rep.m2,
                       "on_exact_manifold": rep.on_exact_manifold})
@@ -202,7 +202,7 @@ def suite_limits() -> dict:
     for b1 in (0.1, 0.05, 0.025):
         params = PotentialParams(m=1.0, b1=b1, b2=b1)
         series = approx_energy(params, 0, "equal_series")
-        exact = next(iter(closed_form(params, 0, "equal")))
+        exact = closed_form(params, 0, "equal").energies[0]
         gaps_equal.append(abs(series - exact))
         atlas.append({"case": "equal_series", "b1": b1, "series": series,
                       "exact": exact, "gap": gaps_equal[-1]})

@@ -35,7 +35,15 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, QuadratureError
-from .model import PotentialParams, derived_coefficients, negative_radicand, potentials_at
+from .model import (
+    PotentialParams,
+    derived_coefficients,
+    negative_radicand,
+    out_of_float_range,
+    potentials_at,
+    refuse_imaginary_a,
+    refuse_nonpositive_radius,
+)
 
 __all__ = [
     "GroundStateEval",
@@ -92,8 +100,7 @@ class ResidualReport:
 
 def _coefficients_or_raise(params: PotentialParams, energy: float):
     coeffs = derived_coefficients(params, energy)
-    if coeffs.a is None:
-        raise DomainError("a imaginary: a1^2 < a2^2")
+    refuse_imaginary_a(params)
     if coeffs.c is None:
         raise negative_radicand(coeffs.centrifugal_radicand, energy)
     return coeffs
@@ -121,8 +128,7 @@ def eval_ground_state(params: PotentialParams, energy: float, r: float) -> Groun
     gives phi == 1.  The factors are unnormalized.  Where a factor or a
     superpotential is too large for a float, DomainError names the radius.
     """
-    if not r > 0.0:
-        raise DomainError(f"radius must be positive, got r={r!r}")
+    refuse_nonpositive_radius(r)
     a, c, k = _ground_state_akc(params, energy)
 
     decay = math.exp(-k * r / (2.0 * (c + 1.0)))
@@ -158,63 +164,66 @@ def residual_report(params: PotentialParams, energy: float, sample_radii) -> Res
 
     The composite samples are meaningful as a factorization check only when
     ``energy`` solves the implicit spectrum equation; the chi and phi
-    identities are energy-agnostic.
+    identities are energy-agnostic.  ``potentials_at`` refuses a radius
+    r <= 0, and a term that overflows a float or divides by zero raises
+    DomainError naming the radius.
     """
     coeffs = _coefficients_or_raise(params, energy)
     a, c, k = coeffs.a, coeffs.c, coeffs.k
     eps0 = coeffs.epsilon_n
     m, e = params.m, energy
-    m3, m2 = _m3_m2(params, a, c, k)
-
-    a_sq_target = params.a1 ** 2 - params.a2 ** 2
-    quartic = abs(a * a - a_sq_target) / max(a * a, abs(a_sq_target), _TINY)
-
     # The phi-identity defect collapses to M3/r^3 + M2/r^2; M3 = 0 is the
     # consistency condition the ratio definition of c would need, with the
-    # opposite sign: c = (a2*b2 - a1*b1)/a.
-    c_consistent = None
-    if a > 0.0:
-        c_consistent = (params.a2 * params.b2 - params.a1 * params.b1) / a
+    # opposite sign; 0.0 - x, unlike -x, keeps an exact zero +0.0.
+    c_consistent = None if coeffs.c_diagnostic is None else 0.0 - coeffs.c_diagnostic
 
-    eq3, eq4, eq1 = [], [], []
-    worst3 = worst4 = worst1 = 0.0
-    for r in sample_radii:
-        if not r > 0.0:
-            raise DomainError(f"sample radius must be positive, got {r!r}")
-        r = float(r)
-        v_s, v_v, _ = potentials_at(params, e, r)
+    r = None  # the radius in work, which an error below names
+    try:
+        m3, m2 = _m3_m2(params, a, c, k)
 
-        dlchi = (c + 1.0) / r - k / (2.0 * (c + 1.0))
-        t_sq = dlchi * dlchi
-        t_curv = -(c + 1.0) / (r * r)
-        t_pot = 2.0 * (m * v_s + e * v_v)
-        t_eps = -eps0
-        scale3 = max(abs(t_sq), abs(t_curv), abs(t_pot), abs(t_eps), _TINY)
-        rel3 = ((t_sq + t_curv) - (t_pot + t_eps)) / scale3
-        eq3.append((r, rel3))
-        worst3 = max(worst3, abs(rel3))
+        a_sq_target = params.a1 ** 2 - params.a2 ** 2
+        quartic = abs(a * a - a_sq_target) / max(a * a, abs(a_sq_target), _TINY)
 
-        dlphi = a / (r * r)
-        u_sq = dlphi * dlphi
-        u_curv = -2.0 * a / (r * r * r)
-        u_cross = 2.0 * dlchi * dlphi
-        v_s2, v_v2 = v_s * v_s, v_v * v_v
-        scale4 = max(abs(u_sq), abs(u_curv), abs(u_cross), v_s2, v_v2, _TINY)
-        raw4 = (u_sq + u_curv + u_cross) - (v_s2 - v_v2)
-        rel4 = raw4 / scale4
-        eq4.append((r, rel4))
-        structure = m3 / r ** 3 + m2 / r ** 2
-        worst4 = max(worst4, abs(raw4 - structure) / scale4)
+        eq3, eq4, eq1 = [], [], []
+        worst3 = worst4 = worst1 = 0.0
+        for r in sample_radii:
+            r = float(r)
+            v_s, v_v, _ = potentials_at(params, e, r)
 
-        dlpsi = dlchi + dlphi
-        psi_curv = t_curv + u_curv
-        lhs = dlpsi * dlpsi + psi_curv           # psi''/psi
-        mass_term = (m + v_s) ** 2
-        energy_term = (e - v_v) ** 2
-        scale1 = max(abs(dlpsi * dlpsi), abs(psi_curv), mass_term, energy_term, _TINY)
-        r1_over_psi = (mass_term - energy_term) - lhs
-        eq1.append((r, r1_over_psi / scale1))
-        worst1 = max(worst1, abs(r1_over_psi + structure) / scale1)
+            dlchi = (c + 1.0) / r - k / (2.0 * (c + 1.0))
+            t_sq = dlchi * dlchi
+            t_curv = -(c + 1.0) / (r * r)
+            t_pot = 2.0 * (m * v_s + e * v_v)
+            t_eps = -eps0
+            scale3 = max(abs(t_sq), abs(t_curv), abs(t_pot), abs(t_eps), _TINY)
+            rel3 = ((t_sq + t_curv) - (t_pot + t_eps)) / scale3
+            eq3.append((r, rel3))
+            worst3 = max(worst3, abs(rel3))
+
+            dlphi = a / (r * r)
+            u_sq = dlphi * dlphi
+            u_curv = -2.0 * a / (r * r * r)
+            u_cross = 2.0 * dlchi * dlphi
+            v_s2, v_v2 = v_s * v_s, v_v * v_v
+            scale4 = max(abs(u_sq), abs(u_curv), abs(u_cross), v_s2, v_v2, _TINY)
+            raw4 = (u_sq + u_curv + u_cross) - (v_s2 - v_v2)
+            rel4 = raw4 / scale4
+            eq4.append((r, rel4))
+            structure = m3 / r ** 3 + m2 / r ** 2
+            worst4 = max(worst4, abs(raw4 - structure) / scale4)
+
+            dlpsi = dlchi + dlphi
+            psi_curv = t_curv + u_curv
+            lhs = dlpsi * dlpsi + psi_curv           # psi''/psi
+            mass_term = (m + v_s) ** 2
+            energy_term = (e - v_v) ** 2
+            scale1 = max(abs(dlpsi * dlpsi), abs(psi_curv), mass_term, energy_term, _TINY)
+            r1_over_psi = (mass_term - energy_term) - lhs
+            eq1.append((r, r1_over_psi / scale1))
+            worst1 = max(worst1, abs(r1_over_psi + structure) / scale1)
+    except (ZeroDivisionError, OverflowError) as exc:
+        where = f"E={energy!r}" if r is None else f"E={energy!r}, r={r!r}"
+        raise out_of_float_range(f"residual report at {where}", params, exc) from None
 
     m3_scale = max(abs(2.0 * a * c), 2.0 * abs(params.a1 * params.b1),
                    2.0 * abs(params.a2 * params.b2), _TINY)

@@ -735,3 +735,32 @@ def test_analytic_command_ends_in_one_error_line_or_succeeds(capsys, args, code,
         assert errors == []
     else:
         assert len(errors) == 1 and errors[0].startswith(error)
+
+
+_NO_LEVEL = "--m 1 --b1 -0.5 --n 0"
+_NO_LEVEL_ERROR = "no particle root of the spectrum equation at n=0"
+
+
+@pytest.mark.parametrize("args, error", [
+    pytest.param(f"energy {_NO_LEVEL}", _NO_LEVEL_ERROR, id="implicit"),
+    pytest.param(f"energy {_NO_LEVEL} --method oracle", f"analytic: {_NO_LEVEL_ERROR}",
+                 id="oracle"),
+    pytest.param(f"energy {_NO_LEVEL} --compare oracle", _NO_LEVEL_ERROR, id="compare-oracle"),
+    pytest.param(f"wavefunction {_NO_LEVEL} --e auto --rmin 0.1 --rmax 1 --points 2",
+                 _NO_LEVEL_ERROR, id="wavefunction"),
+])
+def test_missing_level_reads_the_same_on_every_path(capsys, args, error):
+    # One text, spectrum.no_level's; the oracle labels the analytic solve's failures.
+    from kgkratzer import cli
+
+    assert cli.main(args.split()) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ERROR: {error}\n"
+
+
+def test_verify_argument_error_exits_2_from_main(capsys):
+    from kgkratzer import cli
+
+    assert cli.main("verify --suite residuals --cases 0".split()) == 2
+    assert capsys.readouterr().err == "ERROR: residuals suite needs cases >= 1\n"

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 
@@ -80,7 +81,7 @@ def test_undefined_quantities_are_none_not_nan():
     assert coeffs.a is None          # a1^2 < a2^2
     assert coeffs.c is None          # radicand 0.25 - 1 < 0
     assert coeffs.epsilon_n is None
-    assert not coeffs.a_defined and not coeffs.c_defined
+    assert coeffs.a is None and coeffs.c is None
 
 
 _PARAMS = PotentialParams(m=1.0, b1=0.5)
@@ -307,3 +308,17 @@ def test_imaginary_a_is_decided_where_the_squares_underflow(a1, a2, a_real):
     if not a_real:
         assert report.overall == "inadmissible"
         assert report.reasons == ("a imaginary: a1^2 < a2^2",)
+
+
+@pytest.mark.parametrize("params", [
+    PotentialParams(1.0, 1e300, 1e10, 5e299, 0.3),             # a1*b1 overflows
+    PotentialParams(1.0, 1.3e154, 1.3e154, -1e154, 1.3e154),   # only a1*b1 - a2*b2 does
+])
+def test_c_diagnostic_is_finite_where_a_product_overflows(params):
+    # The ratio (a1*b1 - a2*b2)/a of the float inputs, in 40-digit decimals:
+    # about 1.1547e10 on the first set, 3.5995e154 on the second.
+    with decimal.localcontext() as context:
+        context.prec = 40
+        a1, b1, a2, b2 = map(decimal.Decimal, (params.a1, params.b1, params.a2, params.b2))
+        exact = float((a1 * b1 - a2 * b2) / (a1 * a1 - a2 * a2).sqrt())
+    assert derived_coefficients(params, 0.5).c_diagnostic == pytest.approx(exact, rel=1e-12)

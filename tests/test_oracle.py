@@ -10,6 +10,7 @@ from kgkratzer import (
     ConvergenceError,
     DomainError,
     FallToCenterError,
+    NoBoundStateError,
     PotentialParams,
     deviation_report,
     kg_eigensolve,
@@ -873,3 +874,11 @@ def test_offmanifold_search_starts_with_the_first_wide_bracket(monkeypatch):
     assert energies[:2] == [level - half, level + half]
     assert min(abs(e - level) for e in energies) == pytest.approx(half, rel=1e-12)
     assert report.shooting.defect_evaluations == len(energies)
+
+
+def test_missing_analytic_level_is_the_spectrum_text_behind_its_label():
+    # b1 < 0: k < 0 at every E > 0, so the n = 0 particle level does not exist.
+    params = PotentialParams(m=1.0, b1=-0.5)
+    with pytest.raises(NoBoundStateError) as info:
+        deviation_report(params, 0)
+    assert str(info.value) == "analytic: no particle root of the spectrum equation at n=0"

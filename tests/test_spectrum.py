@@ -178,7 +178,7 @@ def test_closed_form_pure_scalar():
 def test_closed_form_opposite():
     params = PotentialParams(m=1.0, b1=0.5, b2=-0.5)
     result = closed_form(params, 0, "opposite")
-    assert list(result) == pytest.approx([-0.6], rel=1e-15)
+    assert list(result.energies) == pytest.approx([-0.6], rel=1e-15)
 
 
 def test_closed_form_coulomb_general():
@@ -229,7 +229,7 @@ def test_closed_forms_are_zeros_of_the_implicit_equation():
     )
     for params, case in cases:
         for n in range(4):
-            for energy in closed_form(params, n, case):
+            for energy in closed_form(params, n, case).energies:
                 assert abs(spectrum_residual(params, n, energy)) < 1e-10
 
 
@@ -256,7 +256,7 @@ def test_closed_forms_are_zeros_of_f_and_levels_of_the_solver():
             "opposite": {"b1": b1, "b2": -b1},
         }[case])
         levels = [lvl.energy for lvl in solve_levels(params, n)]
-        for energy in closed_form(params, n, case):
+        for energy in closed_form(params, n, case).energies:
             assert abs(spectrum_residual(params, n, energy)) <= 1e-12 * m * m
             if abs(energy) < m - 1e-9 * m:
                 assert min(abs(energy - level) for level in levels) <= 1e-10 * m

@@ -19,6 +19,7 @@ from kgkratzer import (
     derived_coefficients,
     eval_ground_state,
     normalization,
+    residual_report,
     solve_levels,
     spectrum,
     spectrum_residual,
@@ -59,6 +60,7 @@ def _calls(params, n, energy, r):
         yield case, lambda case=case: approx_energy(params, n, case)
     yield "eval_ground_state", lambda: eval_ground_state(params, energy, r)
     yield "normalization", lambda: normalization(params, energy)
+    yield "residual_report", lambda: residual_report(params, energy, (r,))
 
 
 def _expire(signum, frame):
@@ -69,7 +71,10 @@ def test_every_entry_point_returns_or_raises_a_package_error():
     # Each name is reached once its call gets past the structural check of its case.
     reached = set()
 
-    @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+    # No shrinking: a draw that hangs fails at once, where each shrink step would
+    # cost the full alarm again.
+    @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True, database=None,
+                         phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
     @hypothesis.given(params=_params(), n=st.integers(0, 3), fraction=st.floats(-1.0, 1.0),
                       r=_MAGNITUDE)
     def check(params, n, fraction, r):

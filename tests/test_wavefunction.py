@@ -282,3 +282,38 @@ def test_normalization_at_extreme_couplings_raises_a_quadrature_error(params, en
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("params", [
+    MIXED,
+    PotentialParams(m=1.0, a1=2.0, b1=0.5, a2=1.0, b2=1.0),     # a1*b1 = a2*b2: c ratio 0
+    # a1*b1 - a2*b2 overflows, though each product and each square is finite.
+    PotentialParams(m=1.0, a1=1.3e154, b1=1.3e154, a2=-1e154, b2=1.3e154),
+])
+def test_residual_report_reads_the_c_ratio_from_its_owner(params):
+    c_diagnostic = derived_coefficients(params, 0.5).c_diagnostic
+    consistent = residual_report(params, 0.5, (1e10,)).c_diagnostic_consistent
+    assert math.isfinite(c_diagnostic)
+    assert consistent == -c_diagnostic
+    if c_diagnostic == 0.0:  # an exact zero stays +0.0, as (a2*b2 - a1*b1)/a gives it
+        assert math.copysign(1.0, consistent) == 1.0
+
+
+@pytest.mark.parametrize("params, r, message", [
+    # a1^2 overflows before any radius is sampled.
+    (PotentialParams(m=1.0, a1=1e300, b1=1e10, a2=5e299, b2=0.3), 1.0,
+     "residual report at E=0.5 overflows a float at "),
+    (MIXED, 1e-300, "residual report at E=0.5, r=1e-300 divides by zero at "),     # r^2 = 0
+    (PotentialParams(m=1.0, a1=1.3e154, b1=1.3e154, a2=-1e154, b2=1.3e154), 1.0,
+     "residual report at E=0.5, r=1.0 overflows a float at "),                       # (E - V_V)^2
+])
+def test_residual_report_out_of_float_range_names_the_radius(params, r, message):
+    with pytest.raises(DomainError) as info:
+        residual_report(params, 0.5, (2.0, r))
+    assert str(info.value).startswith(message)
+
+
+def test_residual_report_refuses_a_radius_as_the_potentials_do():
+    with pytest.raises(DomainError) as info:
+        residual_report(EQUAL, 0.6, [1.0, -2.0])
+    assert str(info.value) == "radius must be positive, got r=-2.0"
